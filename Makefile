@@ -81,7 +81,9 @@ bench-smoke:
 	$(GO) test -run='^$$' -bench . -benchtime=1x -benchmem -short ./internal/core ./internal/score ./internal/entropy ./internal/truth ./internal/pipeline
 
 # fuzz-smoke gives every fuzz target a short budget (FUZZTIME each) — enough
-# to catch regressions in the parsers and normalizers without tying up CI.
+# to catch regressions in the parsers, normalizers and encoders without tying
+# up CI. -fuzz is a regexp and must match exactly one target, hence the
+# anchors where one target's name prefixes another's.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzParseVote -fuzztime=$(FUZZTIME) ./internal/truth
 	$(GO) test -run='^$$' -fuzz=FuzzParseLabel -fuzztime=$(FUZZTIME) ./internal/truth
@@ -90,7 +92,9 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzNormalizeAddress -fuzztime=$(FUZZTIME) ./internal/dedup
 	$(GO) test -run='^$$' -fuzz=FuzzSimilarity -fuzztime=$(FUZZTIME) ./internal/dedup
 	$(GO) test -run='^$$' -fuzz=FuzzIntern -fuzztime=$(FUZZTIME) ./internal/truth
-	$(GO) test -run='^$$' -fuzz=FuzzCheckpoint -fuzztime=$(FUZZTIME) ./internal/core
+	$(GO) test -run='^$$' -fuzz='^FuzzCheckpoint$$' -fuzztime=$(FUZZTIME) ./internal/core
+	$(GO) test -run='^$$' -fuzz=FuzzCheckpointOracle -fuzztime=$(FUZZTIME) ./internal/core
+	$(GO) test -run='^$$' -fuzz=FuzzJSONAppend -fuzztime=$(FUZZTIME) ./internal/jsonw
 	$(GO) test -run='^$$' -fuzz=FuzzRestore -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzScenarioConfig -fuzztime=$(FUZZTIME) ./internal/synth
 	$(GO) test -run='^$$' -fuzz=FuzzQueryParams -fuzztime=$(FUZZTIME) ./internal/serve

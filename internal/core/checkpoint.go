@@ -10,6 +10,7 @@ import (
 	"math"
 	"unicode/utf8"
 
+	"corroborate/internal/jsonw"
 	"corroborate/internal/truth"
 )
 
@@ -101,14 +102,6 @@ type checkpointFact struct {
 	Prediction  truth.Label `json:"prediction"`
 }
 
-// encodeName splits a caller-supplied name into the canonical field pair.
-func encodeName(name string) (plain, b64 string) {
-	if utf8.ValidString(name) {
-		return name, ""
-	}
-	return "", base64.StdEncoding.EncodeToString([]byte(name))
-}
-
 // decodeName rebuilds a name from the field pair, rejecting non-canonical
 // encodings.
 func decodeName(plain, b64, what string) (string, error) {
@@ -131,76 +124,152 @@ func decodeName(plain, b64, what string) (string, error) {
 // Checkpoint serializes the stream's full state to w. The encoding is
 // deterministic: checkpointing the same state twice produces identical
 // bytes, and encode→decode→re-encode is a fixed point (FuzzCheckpoint).
+// A NaN or infinite float or an invalid label in the state is an error and
+// nothing is written. Checkpoint is safe for concurrent use: the state is
+// encoded under the stream lock into a pooled buffer, which is written to
+// w after the lock is released.
 func (st *Stream) Checkpoint(w io.Writer) error {
+	jw := jsonw.Get()
+	defer jw.Release()
 	st.mu.Lock()
-	data, err := st.encodeLocked()
-	st.mu.Unlock()
-	if err != nil {
-		return err
+	// Size the buffer from the previous envelope (plus headroom for the
+	// batches absorbed since), so a pooled buffer that was dropped is
+	// re-made once instead of regrown by doubling.
+	jw.Grow(st.checkpointSize + st.checkpointSize/8)
+	st.appendCheckpointLocked(jw)
+	if jw.Err == nil {
+		st.checkpointSize = len(jw.B)
 	}
-	_, err = w.Write(data)
+	st.mu.Unlock()
+	if jw.Err != nil {
+		return fmt.Errorf("core: encoding checkpoint state: %w", jw.Err)
+	}
+	_, err := w.Write(jw.B)
 	return err
 }
 
-func (st *Stream) encodeLocked() ([]byte, error) {
-	cs := checkpointState{
-		Config: checkpointConfig{
-			Strategy:      st.Config.Strategy.String(),
-			InitialTrust:  st.Config.InitialTrust,
-			MaxRounds:     st.Config.MaxRounds,
-			CandidateCap:  st.Config.CandidateCap,
-			FullGroups:    st.Config.FullGroups,
-			FlipDeltaH:    st.Config.FlipDeltaH,
-			SoftAbsorb:    st.Config.SoftAbsorb,
-			AnchoredTrust: st.Config.AnchoredTrust,
-			DeferBand:     st.Config.DeferBand,
-		},
+// checkpointHead is the envelope up to the state object. The checksum is a
+// fixed-width placeholder, patched in place once the state bytes it covers
+// have been written behind it.
+const checkpointHead = `{"format":"` + checkpointFormat + `","version":1,"checksum":"00000000","state":`
+
+// appendCheckpointLocked appends the complete envelope, newline included:
+// the head, the state object written once, then the CRC of exactly those
+// state bytes patched into the head. Field order and omitempty rules are
+// those of checkpointState's JSON tags, which the decoder reads; the
+// golden fixtures and FuzzCheckpointOracle hold the bytes to what
+// encoding/json writes for that struct.
+func (st *Stream) appendCheckpointLocked(w *jsonw.Writer) {
+	base := len(w.B)
+	w.Raw(checkpointHead)
+	stateAt := len(w.B)
+	c := &st.Config
+	w.Raw(`{"config":{"strategy":`)
+	w.String(c.Strategy.String())
+	if c.InitialTrust != 0 {
+		w.Raw(`,"initial_trust":`)
+		w.Float(c.InitialTrust)
 	}
-	if st.initDone {
-		cs.DefaultTrust = st.state.defaultTrust
+	if c.MaxRounds != 0 {
+		w.Raw(`,"max_rounds":`)
+		w.Int(c.MaxRounds)
 	}
-	cs.TrustDecay = st.decay
+	if c.CandidateCap != 0 {
+		w.Raw(`,"candidate_cap":`)
+		w.Int(c.CandidateCap)
+	}
+	for _, flag := range [...]struct {
+		on   bool
+		name string
+	}{
+		{c.FullGroups, `,"full_groups":true`},
+		{c.FlipDeltaH, `,"flip_delta_h":true`},
+		{c.SoftAbsorb, `,"soft_absorb":true`},
+		{c.AnchoredTrust, `,"anchored_trust":true`},
+	} {
+		if flag.on {
+			w.Raw(flag.name)
+		}
+	}
+	if c.DeferBand != 0 {
+		w.Raw(`,"defer_band":`)
+		w.Float(c.DeferBand)
+	}
+	w.Raw(`}`)
+	if st.initDone && st.state.defaultTrust != 0 {
+		w.Raw(`,"default_trust":`)
+		w.Float(st.state.defaultTrust)
+	}
+	if st.decay != 0 {
+		w.Raw(`,"trust_decay":`)
+		w.Float(st.decay)
+	}
 	// Sources are emitted in symbol-table ID order: the interning order
 	// defines vote signatures, so preserving it is what lets the restored
 	// stream continue byte-identically.
 	for i := 0; i < st.symtab.Len(); i++ {
-		plain, b64 := encodeName(st.symtab.Name(uint32(i)))
-		src := checkpointSource{
-			Name:    plain,
-			NameB64: b64,
-			Credit:  st.state.credit[i],
-			Count:   st.state.count[i],
+		if i == 0 {
+			w.Raw(`,"sources":[{`)
+		} else {
+			w.Raw(`,{`)
 		}
-		if st.state.fcount != nil {
-			src.CountF = st.state.fcount[i]
+		appendName(w, st.symtab.Name(uint32(i)))
+		w.Raw(`"credit":`)
+		w.Float(st.state.credit[i])
+		w.Raw(`,"count":`)
+		w.Int(st.state.count[i])
+		if st.state.fcount != nil && st.state.fcount[i] != 0 {
+			w.Raw(`,"count_f":`)
+			w.Float(st.state.fcount[i])
 		}
-		cs.Sources = append(cs.Sources, src)
+		w.Raw(`}`)
 	}
-	for _, sf := range st.decided {
-		plain, b64 := encodeName(sf.Name)
-		cs.Decided = append(cs.Decided, checkpointFact{
-			Name:        plain,
-			NameB64:     b64,
-			Batch:       sf.Batch,
-			Probability: sf.Probability,
-			Prediction:  sf.Prediction,
-		})
+	if st.symtab.Len() > 0 {
+		w.Raw(`]`)
 	}
-	payload, err := json.Marshal(cs)
-	if err != nil {
-		return nil, fmt.Errorf("core: encoding checkpoint state: %w", err)
+	for i := range st.decided {
+		sf := &st.decided[i]
+		if i == 0 {
+			w.Raw(`,"decided":[{`)
+		} else {
+			w.Raw(`,{`)
+		}
+		appendName(w, sf.Name)
+		w.Raw(`"batch":`)
+		w.Int(sf.Batch)
+		w.Raw(`,"probability":`)
+		w.Float(sf.Probability)
+		w.Raw(`,"prediction":`)
+		w.Label(sf.Prediction)
+		w.Raw(`}`)
 	}
-	env := checkpointEnvelope{
-		Format:   checkpointFormat,
-		Version:  checkpointVersion,
-		Checksum: fmt.Sprintf("%08x", crc32.ChecksumIEEE(payload)),
-		State:    payload,
+	if len(st.decided) > 0 {
+		w.Raw(`]`)
 	}
-	out, err := json.Marshal(env)
-	if err != nil {
-		return nil, fmt.Errorf("core: encoding checkpoint envelope: %w", err)
+	w.Raw(`}`)
+	sum := crc32.ChecksumIEEE(w.B[stateAt:])
+	hex := w.B[base+len(checkpointHead)-len(`00000000","state":`):]
+	for i := 7; i >= 0; i-- {
+		hex[i] = "0123456789abcdef"[sum&0xF]
+		sum >>= 4
 	}
-	return append(out, '\n'), nil
+	w.Raw("}\n")
+}
+
+// appendName writes a name as its canonical field pair, each present
+// field followed by a comma: valid UTF-8 in "name" (omitted when empty),
+// anything else base64 in "name_b64".
+func appendName(w *jsonw.Writer, name string) {
+	switch {
+	case !utf8.ValidString(name):
+		w.Raw(`"name_b64":"`)
+		w.B = base64.StdEncoding.AppendEncode(w.B, []byte(name))
+		w.Raw(`",`)
+	case name != "":
+		w.Raw(`"name":`)
+		w.String(name)
+		w.Raw(`,`)
+	}
 }
 
 // RestoreStream reads a checkpoint and returns a fresh Stream that

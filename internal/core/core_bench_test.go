@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"io"
 	"testing"
 
 	"corroborate/internal/truth"
@@ -227,4 +228,67 @@ func BenchmarkStream(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// serveShapeBatches is the corrod serving shape: n ten-fact batches over
+// eight sources, with facts named like a producer's keys.
+func serveShapeBatches(n int) [][]BatchVote {
+	state := uint64(99)
+	next := func(k uint64) uint64 {
+		state = state*6364136223846793005 + 1442695040888963407
+		return (state >> 33) % k
+	}
+	batches := make([][]BatchVote, n)
+	for b := range batches {
+		for f := 0; f < 10; f++ {
+			fact := fmt.Sprintf("b%05d-f%d", b, f)
+			seen := map[uint64]bool{}
+			for v := 0; v < 3; v++ {
+				s := next(8)
+				if seen[s] {
+					continue
+				}
+				seen[s] = true
+				vote := truth.Affirm
+				if next(10) == 0 {
+					vote = truth.Deny
+				}
+				batches[b] = append(batches[b], BatchVote{Fact: fact, Source: fmt.Sprintf("src%d", s), Vote: vote})
+			}
+		}
+	}
+	return batches
+}
+
+// BenchmarkCheckpointEncode measures one checkpoint of a long-lived
+// serving tenant: 2000 ten-fact batches over eight sources, the state
+// corrod rewrites on every acknowledged batch. Run with -benchmem: the
+// encoder's pooled buffer keeps B/op near zero at any state size.
+func BenchmarkCheckpointEncode(b *testing.B) {
+	st := NewStream()
+	for _, batch := range serveShapeBatches(2000) {
+		if _, err := st.AddBatch(batch); err != nil {
+			b.Fatal(err)
+		}
+	}
+	var size countingWriter
+	if err := st.Checkpoint(&size); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(size))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := st.Checkpoint(io.Discard); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// countingWriter counts the bytes written to it.
+type countingWriter int
+
+func (c *countingWriter) Write(p []byte) (int, error) {
+	*c += countingWriter(len(p))
+	return len(p), nil
 }

@@ -68,6 +68,10 @@ type Stream struct {
 	// SetTrustDecay.
 	decay float64
 
+	// checkpointSize is the length of the last envelope Checkpoint wrote;
+	// it sizes the next encode buffer.
+	checkpointSize int
+
 	// panics is the fault-injection hook for the robustness battery; nil
 	// (the default) costs one pointer check per decided group.
 	panics *fault.Panics

@@ -48,6 +48,7 @@ import (
 	"time"
 
 	"corroborate/internal/core"
+	"corroborate/internal/jsonw"
 	"corroborate/internal/truth"
 )
 
@@ -199,6 +200,14 @@ func (s *Server) Drain() error {
 }
 
 // --- wire types ---
+//
+// The request and error types travel through encoding/json. The hot
+// responses — the ingest ack, /query pages and /trust — are written by
+// appendIngest, appendQuery and appendTrust with the append-based writer
+// of internal/jsonw instead: no reflection and no []FactJSON copy of a
+// page. Their types below still define the wire shape (clients decode into
+// them), and encode_test.go holds the written bytes to what
+// json.NewEncoder writes for the typed values.
 
 // VoteJSON is one vote of an ingest request. Vote uses the paper's
 // notation: "T" affirms, "F" denies.
@@ -271,6 +280,96 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = enc.Encode(v)
 }
 
+// writeDoc sends the document in jw as a JSON response, newline-terminated
+// like json.Encoder output. A document that failed to encode (a NaN or an
+// invalid label) sends the status with an empty body, as a failed
+// json.Encoder.Encode after WriteHeader did.
+func writeDoc(w http.ResponseWriter, status int, jw *jsonw.Writer) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
+	if jw.Err != nil {
+		return
+	}
+	jw.Raw("\n")
+	// As in writeJSON, the response writer's error has nowhere to go.
+	_, _ = w.Write(jw.B)
+}
+
+// appendFacts writes facts as a JSON array of FactJSON objects.
+func appendFacts(jw *jsonw.Writer, facts []core.StreamFact) {
+	jw.Raw(`[`)
+	for i := range facts {
+		f := &facts[i]
+		if i > 0 {
+			jw.Raw(`,`)
+		}
+		jw.Raw(`{"fact":`)
+		jw.String(f.Name)
+		jw.Raw(`,"batch":`)
+		jw.Int(f.Batch)
+		jw.Raw(`,"probability":`)
+		jw.Float(f.Probability)
+		jw.Raw(`,"prediction":`)
+		jw.Label(f.Prediction)
+		jw.Raw(`}`)
+	}
+	jw.Raw(`]`)
+}
+
+// appendIngest writes an IngestResponse acknowledging res.
+func appendIngest(jw *jsonw.Writer, tenant string, res IngestResult) {
+	jw.Raw(`{"tenant":`)
+	jw.String(tenant)
+	jw.Raw(`,"batch":`)
+	jw.Int(res.Batch)
+	jw.Raw(`,"facts":`)
+	appendFacts(jw, res.Facts)
+	jw.Raw(`}`)
+}
+
+// appendQuery writes a QueryResponse. A paged read past the end of the
+// matched facts has "facts":null; any other empty page is [].
+func appendQuery(jw *jsonw.Writer, tenant string, batches, total int, page []core.StreamFact, pastEnd bool) {
+	jw.Raw(`{"tenant":`)
+	jw.String(tenant)
+	jw.Raw(`,"batches":`)
+	jw.Int(batches)
+	jw.Raw(`,"total":`)
+	jw.Int(total)
+	jw.Raw(`,"facts":`)
+	if pastEnd {
+		jw.Raw(`null`)
+	} else {
+		appendFacts(jw, page)
+	}
+	jw.Raw(`}`)
+}
+
+// appendTrust writes a TrustResponse with the sources sorted by name.
+func appendTrust(jw *jsonw.Writer, tenant string, snap *core.StreamSnapshot) {
+	names := make([]string, 0, len(snap.Trust))
+	for name := range snap.Trust {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	jw.Raw(`{"tenant":`)
+	jw.String(tenant)
+	jw.Raw(`,"batches":`)
+	jw.Int(snap.Batches)
+	jw.Raw(`,"sources":[`)
+	for i, name := range names {
+		if i > 0 {
+			jw.Raw(`,`)
+		}
+		jw.Raw(`{"source":`)
+		jw.String(name)
+		jw.Raw(`,"trust":`)
+		jw.Float(snap.Trust[name])
+		jw.Raw(`}`)
+	}
+	jw.Raw(`]}`)
+}
+
 func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, errorResponse{Error: fmt.Sprintf(format, args...)})
 }
@@ -315,11 +414,10 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	res, err := world.Ingest(ctx, votes)
 	switch {
 	case err == nil:
-		resp := IngestResponse{Tenant: world.Name(), Batch: res.Batch, Facts: make([]FactJSON, len(res.Facts))}
-		for i, f := range res.Facts {
-			resp.Facts[i] = FactJSON{Fact: f.Name, Batch: f.Batch, Probability: f.Probability, Prediction: f.Prediction}
-		}
-		writeJSON(w, http.StatusOK, resp)
+		jw := jsonw.Get()
+		defer jw.Release()
+		appendIngest(jw, world.Name(), res)
+		writeDoc(w, http.StatusOK, jw)
 	case errors.Is(err, ErrQueueFull):
 		// The admission bound is the backpressure signal: tell the client
 		// when to come back instead of letting it hammer the queue.
@@ -355,14 +453,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	snap := world.Snapshot()
 	total, page := evalQuery(snap, p)
-	resp := QueryResponse{Tenant: world.Name(), Batches: snap.Batches, Total: total}
-	if p.top > 0 || p.offset < total {
-		resp.Facts = make([]FactJSON, len(page))
-		for i, f := range page {
-			resp.Facts[i] = FactJSON{Fact: f.Name, Batch: f.Batch, Probability: f.Probability, Prediction: f.Prediction}
-		}
-	}
-	writeJSON(w, http.StatusOK, resp)
+	jw := jsonw.Get()
+	defer jw.Release()
+	appendQuery(jw, world.Name(), snap.Batches, total, page, p.top == 0 && p.offset >= total)
+	writeDoc(w, http.StatusOK, jw)
 }
 
 func (s *Server) handleTrust(w http.ResponseWriter, r *http.Request) {
@@ -370,17 +464,10 @@ func (s *Server) handleTrust(w http.ResponseWriter, r *http.Request) {
 	if world == nil {
 		return
 	}
-	snap := world.Snapshot()
-	names := make([]string, 0, len(snap.Trust))
-	for name := range snap.Trust {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	resp := TrustResponse{Tenant: world.Name(), Batches: snap.Batches, Sources: make([]SourceTrustJSON, len(names))}
-	for i, name := range names {
-		resp.Sources[i] = SourceTrustJSON{Source: name, Trust: snap.Trust[name]}
-	}
-	writeJSON(w, http.StatusOK, resp)
+	jw := jsonw.Get()
+	defer jw.Release()
+	appendTrust(jw, world.Name(), world.Snapshot())
+	writeDoc(w, http.StatusOK, jw)
 }
 
 func (s *Server) handleTenants(w http.ResponseWriter, r *http.Request) {

@@ -121,6 +121,11 @@ type World struct {
 
 	readOnlyAfter int
 	sinkFailures  int // consecutive exhausted saves; consumer-only
+	// saved is true while the newest checkpoint written by this process
+	// holds the stream's current state: the last save succeeded and no
+	// batch was applied after it. Consumer-only; Drain reads it after the
+	// consumer has exited.
+	saved bool
 
 	qmu    sync.Mutex
 	jobs   chan *job
@@ -342,6 +347,7 @@ func (w *World) apply(votes []core.BatchVote) jobResult {
 		return jobResult{err: err}
 	}
 	batch := w.stream.Batches() - 1
+	w.saved = false
 	if w.sink != nil {
 		if serr := w.sink.Save(w.stream); serr != nil {
 			w.m.checkpointFailures.Add(1)
@@ -357,6 +363,7 @@ func (w *World) apply(votes []core.BatchVote) jobResult {
 			return jobResult{err: fmt.Errorf("serve: batch %d applied but not durable: %w", batch, serr)}
 		}
 		w.sinkFailures = 0
+		w.saved = true
 		w.m.lastCheckpoint.Store(w.clock().UnixNano())
 	}
 	w.publish()
@@ -382,17 +389,18 @@ func (w *World) StopAdmitting() {
 
 // Drain gracefully shuts the world down: stop admitting, flush every
 // queued batch through the normal apply path (each still checkpointed and
-// acknowledged), then write a final checkpoint so the on-disk state is
-// exactly the drained in-memory state. Safe to call more than once;
-// concurrent and later calls return the first drain's result.
+// acknowledged), then make sure the on-disk state is exactly the drained
+// in-memory state. Safe to call more than once; concurrent and later calls
+// return the first drain's result.
 func (w *World) Drain() error {
 	w.drainOnce.Do(func() {
 		w.StopAdmitting()
 		<-w.consumerDone
-		if w.sink != nil && !w.readOnly.Load() {
-			// Normally a no-op rewrite of the same bytes (every batch was
-			// checkpointed); it matters when the last save failed
-			// transiently without tripping read-only.
+		// The final save is skipped when the last save already holds the
+		// current state. It still runs when the last save failed without
+		// tripping read-only, and when this process has not saved yet
+		// (a world that never took a batch still leaves a checkpoint).
+		if w.sink != nil && !w.readOnly.Load() && !w.saved {
 			if err := w.sink.Save(w.stream); err != nil {
 				w.m.checkpointFailures.Add(1)
 				w.drainErr = fmt.Errorf("serve: world %q final checkpoint: %w", w.name, err)

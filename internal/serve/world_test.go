@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -535,4 +536,87 @@ func mustRead(t *testing.T, path string) []byte {
 		t.Fatal(err)
 	}
 	return data
+}
+
+// countingFS counts the checkpoint saves that reach the filesystem: every
+// save attempt starts with exactly one CreateTemp.
+type countingFS struct {
+	fault.FS
+	creates atomic.Int64
+}
+
+func (c *countingFS) CreateTemp(dir, pattern string) (fault.File, error) {
+	c.creates.Add(1)
+	return c.FS.CreateTemp(dir, pattern)
+}
+
+// TestDrainSkipsRedundantSave: when the last save succeeded and no batch
+// was applied since, Drain writes nothing — the checkpoint on disk already
+// is the drained state.
+func TestDrainSkipsRedundantSave(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "checkpoint.json")
+	cfs := &countingFS{FS: fault.OS()}
+	w, _, err := OpenWorld(WorldConfig{Name: "t", CheckpointPath: path, FS: cfs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	batches := scenarioBatches(t, 3, 5, 17)
+	for i, votes := range batches {
+		if _, err := w.Ingest(context.Background(), votes); err != nil {
+			t.Fatalf("batch %d: %v", i, err)
+		}
+	}
+	// A rejected batch changes nothing, so it must not force a save.
+	if _, err := w.Ingest(context.Background(), nil); err == nil {
+		t.Fatal("empty batch accepted")
+	}
+	if got := cfs.creates.Load(); got != 3 {
+		t.Fatalf("%d saves for 3 acknowledged batches", got)
+	}
+	if err := w.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	if got := cfs.creates.Load(); got != 3 {
+		t.Fatalf("drain after a successful save wrote again (%d saves)", got)
+	}
+	if !bytes.Equal(mustRead(t, path), referenceCheckpoint(t, 1, batches)) {
+		t.Fatal("checkpoint after drain differs from the reference run")
+	}
+}
+
+// TestDrainSavesAfterFailedSave: when the last save failed (without
+// tripping read-only), Drain must write the final checkpoint, leaving the
+// applied-but-unacknowledged batch durable.
+func TestDrainSavesAfterFailedSave(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "checkpoint.json")
+	ifs := fault.NewInjectFS(fault.OS(), 9)
+	cfs := &countingFS{FS: ifs}
+	w, _, err := OpenWorld(WorldConfig{
+		Name: "t", CheckpointPath: path, FS: cfs, Sleeper: fault.NewRecorder(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	batches := scenarioBatches(t, 2, 5, 19)
+	if _, err := w.Ingest(context.Background(), batches[0]); err != nil {
+		t.Fatal(err)
+	}
+	// The first save plus its three retries all fail their fsync.
+	ifs.FailSyncs(4)
+	if _, err := w.Ingest(context.Background(), batches[1]); err == nil || !strings.Contains(err.Error(), "not durable") {
+		t.Fatalf("failing save = %v, want not-durable error", err)
+	}
+	if w.ReadOnly() {
+		t.Fatal("one exhausted save tripped read-only")
+	}
+	before := cfs.creates.Load()
+	if err := w.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	if got := cfs.creates.Load(); got != before+1 {
+		t.Fatalf("drain after a failed save made %d saves, want 1", got-before)
+	}
+	if !bytes.Equal(mustRead(t, path), referenceCheckpoint(t, 1, batches)) {
+		t.Fatal("drain did not make the unacknowledged batch durable")
+	}
 }

@@ -174,8 +174,8 @@ func TestCheckpointUnsupportedValues(t *testing.T) {
 }
 
 // TestCheckpointConcurrent checkpoints one stream from several goroutines
-// while batches land; under -race it proves the pooled encode buffer is
-// never shared between a writer and a concurrent encode.
+// while batches land; under -race it proves the encode, which runs under
+// the stream lock, and the write to w, which does not, share nothing.
 func TestCheckpointConcurrent(t *testing.T) {
 	st := NewStream()
 	batches := splitByFact(randomDataset(9, 6, 120), 12)
@@ -207,9 +207,10 @@ func TestCheckpointConcurrent(t *testing.T) {
 	requireOracleBytes(t, "after concurrent checkpoints", st)
 }
 
-// TestCheckpointEncodeAllocCeiling: the encoder reuses a pooled buffer, so
-// allocations per Checkpoint stay a small constant however large the state
-// grows (the reflection encoder allocated per fact and per source).
+// TestCheckpointEncodeAllocCeiling: the encoder writes into one buffer
+// sized from the previous envelope, so allocations per Checkpoint stay a
+// small constant however large the state grows (the reflection encoder
+// allocated per fact and per source).
 func TestCheckpointEncodeAllocCeiling(t *testing.T) {
 	allocs := func(batches int) float64 {
 		st := NewStream()

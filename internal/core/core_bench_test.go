@@ -263,7 +263,7 @@ func serveShapeBatches(n int) [][]BatchVote {
 // BenchmarkCheckpointEncode measures one checkpoint of a long-lived
 // serving tenant: 2000 ten-fact batches over eight sources, the state
 // corrod rewrites on every acknowledged batch. Run with -benchmem: the
-// encoder's pooled buffer keeps B/op near zero at any state size.
+// encoder allocates one buffer of about the envelope's size per call.
 func BenchmarkCheckpointEncode(b *testing.B) {
 	st := NewStream()
 	for _, batch := range serveShapeBatches(2000) {

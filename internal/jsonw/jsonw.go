@@ -124,28 +124,23 @@ type Writer struct {
 	Err error
 }
 
-var writers = sync.Pool{New: func() any { return new(Writer) }}
+// Pool recycles Writers so that their buffers keep their capacity between
+// documents, the way encoding/json pools its encode buffers. The zero
+// value is ready to use and is safe for concurrent use.
+type Pool struct{ p sync.Pool }
 
-// Get returns an empty Writer from a process-wide pool whose buffers keep
-// their capacity between documents, so a document re-encoded at a steady
-// size allocates nothing. Return it with Release once B is no longer used.
-func Get() *Writer {
-	return writers.Get().(*Writer)
-}
-
-// Release resets w and returns it to the pool; w must not be used after.
-func (w *Writer) Release() {
-	w.B, w.Err = w.B[:0], nil
-	writers.Put(w)
-}
-
-// Grow makes room for at least n more bytes without reallocating.
-func (w *Writer) Grow(n int) {
-	if cap(w.B)-len(w.B) < n {
-		b := make([]byte, len(w.B), len(w.B)+n)
-		copy(b, w.B)
-		w.B = b
+// Get returns an empty Writer.
+func (p *Pool) Get() *Writer {
+	if w, ok := p.p.Get().(*Writer); ok {
+		return w
 	}
+	return new(Writer)
+}
+
+// Put resets w and returns it to the pool; w must not be used after.
+func (p *Pool) Put(w *Writer) {
+	w.B, w.Err = w.B[:0], nil
+	p.p.Put(w)
 }
 
 // Raw appends s verbatim; it must already be valid JSON text.

@@ -88,18 +88,15 @@ func TestUnsupportedValuesFail(t *testing.T) {
 	}
 }
 
-func TestWriterPoolReusesCapacity(t *testing.T) {
-	w := Get()
-	w.Grow(1 << 10)
-	if cap(w.B) < 1<<10 {
-		t.Fatalf("Grow left cap %d", cap(w.B))
-	}
+func TestWriterPoolResets(t *testing.T) {
+	var pool Pool
+	w := pool.Get()
 	w.Raw("abc")
-	w.Grow(4)
-	if string(w.B) != "abc" {
-		t.Fatalf("Grow lost content: %q", w.B)
+	w.Float(math.NaN())
+	pool.Put(w)
+	if w := pool.Get(); len(w.B) != 0 || w.Err != nil {
+		t.Fatalf("pooled writer not reset: B=%q Err=%v", w.B, w.Err)
 	}
-	w.Release()
 }
 
 // FuzzJSONAppend: for any string and any float64, the appenders write

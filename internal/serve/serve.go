@@ -280,6 +280,9 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = enc.Encode(v)
 }
 
+// responseWriters holds the encode buffers of the hot responses.
+var responseWriters jsonw.Pool
+
 // writeDoc sends the document in jw as a JSON response, newline-terminated
 // like json.Encoder output. A document that failed to encode (a NaN or an
 // invalid label) sends the status with an empty body, as a failed
@@ -414,8 +417,8 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	res, err := world.Ingest(ctx, votes)
 	switch {
 	case err == nil:
-		jw := jsonw.Get()
-		defer jw.Release()
+		jw := responseWriters.Get()
+		defer responseWriters.Put(jw)
 		appendIngest(jw, world.Name(), res)
 		writeDoc(w, http.StatusOK, jw)
 	case errors.Is(err, ErrQueueFull):
@@ -453,8 +456,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	snap := world.Snapshot()
 	total, page := evalQuery(snap, p)
-	jw := jsonw.Get()
-	defer jw.Release()
+	jw := responseWriters.Get()
+	defer responseWriters.Put(jw)
 	appendQuery(jw, world.Name(), snap.Batches, total, page, p.top == 0 && p.offset >= total)
 	writeDoc(w, http.StatusOK, jw)
 }
@@ -464,8 +467,8 @@ func (s *Server) handleTrust(w http.ResponseWriter, r *http.Request) {
 	if world == nil {
 		return
 	}
-	jw := jsonw.Get()
-	defer jw.Release()
+	jw := responseWriters.Get()
+	defer responseWriters.Put(jw)
 	appendTrust(jw, world.Name(), world.Snapshot())
 	writeDoc(w, http.StatusOK, jw)
 }

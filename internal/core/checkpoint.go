@@ -30,8 +30,21 @@ import (
 //	{"format":"corroborate/stream-checkpoint","version":1,
 //	 "checksum":"<crc32c hex of the state bytes>","state":{...}}
 //
-// encoded compactly and deterministically (same state ⇒ same bytes). The
-// decoder is strict: unknown fields, trailing data, a foreign format tag, an
+// encoded compactly and deterministically (same state ⇒ same bytes).
+//
+// The encoder is an append writer (internal/jsonw), not encoding/json:
+// every acknowledged corrod batch rewrites the whole checkpoint, and
+// reflection over ~20k facts cost an order of magnitude more. It writes
+// the bytes encoding/json would write for checkpointState — the struct
+// the decoder reads, whose JSON tags fix field order and omitempty rules.
+// Three checks hold it there: golden envelopes written by the old
+// encoder (testdata/golden/checkpoint_*.json, TestCheckpointGolden), the
+// old encoder kept as a test oracle (oracleCheckpoint in
+// checkpoint_oracle_test.go, fuzzed by FuzzCheckpointOracle), and
+// FuzzJSONAppend on the string and float appenders. Decoding stays on
+// encoding/json.
+//
+// The decoder is strict: unknown fields, trailing data, a foreign format tag, an
 // unsupported version, a checksum mismatch, or any semantic inconsistency in
 // the state (credits outside [0, count], a prediction disagreeing with its
 // probability under Eq. 2, a gap in the batch numbering, …) is an error —

@@ -7,7 +7,8 @@ import "fmt"
 // standard interfaces (encoding/json in particular) round-trips them in the
 // paper's notation ("T"/"F"/"-", "true"/"false"/"unknown") instead of raw
 // int8 codes. The core checkpoint format (internal/core/checkpoint.go)
-// relies on these hooks for its decided-fact log.
+// decodes its decided-fact log through these hooks; its append writer
+// (internal/jsonw) writes the same text and fails where MarshalText fails.
 
 // MarshalText implements encoding.TextMarshaler using the paper's notation.
 // Marshaling an invalid vote is an error, never a silent mis-encode.

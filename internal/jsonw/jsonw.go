@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"math"
 	"strconv"
-	"sync"
 	"unicode/utf8"
 
 	"corroborate/internal/truth"
@@ -122,25 +121,6 @@ func AppendFloat(dst []byte, f float64) ([]byte, error) {
 type Writer struct {
 	B   []byte
 	Err error
-}
-
-// Pool recycles Writers so that their buffers keep their capacity between
-// documents, the way encoding/json pools its encode buffers. The zero
-// value is ready to use and is safe for concurrent use.
-type Pool struct{ p sync.Pool }
-
-// Get returns an empty Writer.
-func (p *Pool) Get() *Writer {
-	if w, ok := p.p.Get().(*Writer); ok {
-		return w
-	}
-	return new(Writer)
-}
-
-// Put resets w and returns it to the pool; w must not be used after.
-func (p *Pool) Put(w *Writer) {
-	w.B, w.Err = w.B[:0], nil
-	p.p.Put(w)
 }
 
 // Raw appends s verbatim; it must already be valid JSON text.

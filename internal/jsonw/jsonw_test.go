@@ -88,17 +88,6 @@ func TestUnsupportedValuesFail(t *testing.T) {
 	}
 }
 
-func TestWriterPoolResets(t *testing.T) {
-	var pool Pool
-	w := pool.Get()
-	w.Raw("abc")
-	w.Float(math.NaN())
-	pool.Put(w)
-	if w := pool.Get(); len(w.B) != 0 || w.Err != nil {
-		t.Fatalf("pooled writer not reset: B=%q Err=%v", w.B, w.Err)
-	}
-}
-
 // FuzzJSONAppend: for any string and any float64, the appenders write
 // exactly what encoding/json writes, and refuse exactly what it refuses.
 func FuzzJSONAppend(f *testing.F) {

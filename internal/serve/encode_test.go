@@ -181,10 +181,10 @@ func TestResponseWritersEdgeValues(t *testing.T) {
 	check := func(label string, write func(*jsonw.Writer), want []byte) {
 		t.Helper()
 		rec := httptest.NewRecorder()
-		jw := responseWriters.Get()
+		jw := getWriter()
 		write(jw)
 		writeDoc(rec, http.StatusOK, jw)
-		responseWriters.Put(jw)
+		putWriter(jw)
 		if got := rec.Body.Bytes(); !bytes.Equal(got, want) {
 			t.Errorf("%s differs from encoding/json:\n got %s\nwant %s", label, got, want)
 		}
@@ -217,8 +217,8 @@ func TestResponseUnencodableValue(t *testing.T) {
 	old := httptest.NewRecorder()
 	writeJSON(old, http.StatusOK, IngestResponse{Tenant: "t", Facts: factsJSON(bad)})
 	rec := httptest.NewRecorder()
-	jw := responseWriters.Get()
-	defer responseWriters.Put(jw)
+	jw := getWriter()
+	defer putWriter(jw)
 	appendIngest(jw, "t", IngestResult{Facts: bad})
 	writeDoc(rec, http.StatusOK, jw)
 	if rec.Code != old.Code || !bytes.Equal(rec.Body.Bytes(), old.Body.Bytes()) || rec.Body.Len() != 0 {

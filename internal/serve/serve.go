@@ -280,8 +280,17 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = enc.Encode(v)
 }
 
-// responseWriters holds the encode buffers of the hot responses.
-var responseWriters jsonw.Pool
+// responseWriters recycles the writers of the hot responses, so that a
+// page's buffer keeps its capacity for the next page, the way
+// encoding/json pools its encode buffers.
+var responseWriters = sync.Pool{New: func() any { return new(jsonw.Writer) }}
+
+func getWriter() *jsonw.Writer { return responseWriters.Get().(*jsonw.Writer) }
+
+func putWriter(jw *jsonw.Writer) {
+	jw.B, jw.Err = jw.B[:0], nil
+	responseWriters.Put(jw)
+}
 
 // writeDoc sends the document in jw as a JSON response, newline-terminated
 // like json.Encoder output. A document that failed to encode (a NaN or an
@@ -417,8 +426,8 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	res, err := world.Ingest(ctx, votes)
 	switch {
 	case err == nil:
-		jw := responseWriters.Get()
-		defer responseWriters.Put(jw)
+		jw := getWriter()
+		defer putWriter(jw)
 		appendIngest(jw, world.Name(), res)
 		writeDoc(w, http.StatusOK, jw)
 	case errors.Is(err, ErrQueueFull):
@@ -456,8 +465,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	snap := world.Snapshot()
 	total, page := evalQuery(snap, p)
-	jw := responseWriters.Get()
-	defer responseWriters.Put(jw)
+	jw := getWriter()
+	defer putWriter(jw)
 	appendQuery(jw, world.Name(), snap.Batches, total, page, p.top == 0 && p.offset >= total)
 	writeDoc(w, http.StatusOK, jw)
 }
@@ -467,8 +476,8 @@ func (s *Server) handleTrust(w http.ResponseWriter, r *http.Request) {
 	if world == nil {
 		return
 	}
-	jw := responseWriters.Get()
-	defer responseWriters.Put(jw)
+	jw := getWriter()
+	defer putWriter(jw)
 	appendTrust(jw, world.Name(), world.Snapshot())
 	writeDoc(w, http.StatusOK, jw)
 }

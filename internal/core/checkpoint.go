@@ -3,11 +3,14 @@ package core
 import (
 	"bytes"
 	"encoding/base64"
+	"encoding/binary"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
 	"io"
 	"math"
+	"strings"
 	"unicode/utf8"
 
 	"corroborate/internal/jsonw"
@@ -160,9 +163,13 @@ func (st *Stream) Checkpoint(w io.Writer) error {
 }
 
 // checkpointHead is the envelope up to the state object. The checksum is a
-// fixed-width placeholder, patched in place once the state bytes it covers
-// have been written behind it.
-const checkpointHead = `{"format":"` + checkpointFormat + `","version":1,"checksum":"00000000","state":`
+// fixed-width placeholder at checksumAt, patched in place once the state
+// bytes it covers have been written behind it.
+var (
+	checkpointHead = fmt.Sprintf(`{"format":%q,"version":%d,"checksum":"00000000","state":`,
+		checkpointFormat, checkpointVersion)
+	checksumAt = strings.Index(checkpointHead, "00000000")
+)
 
 // appendCheckpointLocked appends the complete envelope, newline included:
 // the head, the state object written once, then the CRC of exactly those
@@ -189,18 +196,17 @@ func (st *Stream) appendCheckpointLocked(w *jsonw.Writer) {
 		w.Raw(`,"candidate_cap":`)
 		w.Int(c.CandidateCap)
 	}
-	for _, flag := range [...]struct {
-		on   bool
-		name string
-	}{
-		{c.FullGroups, `,"full_groups":true`},
-		{c.FlipDeltaH, `,"flip_delta_h":true`},
-		{c.SoftAbsorb, `,"soft_absorb":true`},
-		{c.AnchoredTrust, `,"anchored_trust":true`},
-	} {
-		if flag.on {
-			w.Raw(flag.name)
-		}
+	if c.FullGroups {
+		w.Raw(`,"full_groups":true`)
+	}
+	if c.FlipDeltaH {
+		w.Raw(`,"flip_delta_h":true`)
+	}
+	if c.SoftAbsorb {
+		w.Raw(`,"soft_absorb":true`)
+	}
+	if c.AnchoredTrust {
+		w.Raw(`,"anchored_trust":true`)
 	}
 	if c.DeferBand != 0 {
 		w.Raw(`,"defer_band":`)
@@ -258,12 +264,9 @@ func (st *Stream) appendCheckpointLocked(w *jsonw.Writer) {
 		w.Raw(`]`)
 	}
 	w.Raw(`}`)
-	sum := crc32.ChecksumIEEE(w.B[stateAt:])
-	hex := w.B[base+len(checkpointHead)-len(`00000000","state":`):]
-	for i := 7; i >= 0; i-- {
-		hex[i] = "0123456789abcdef"[sum&0xF]
-		sum >>= 4
-	}
+	var sum [4]byte
+	binary.BigEndian.PutUint32(sum[:], crc32.ChecksumIEEE(w.B[stateAt:]))
+	hex.Encode(w.B[base+checksumAt:], sum[:])
 	w.Raw("}\n")
 }
 

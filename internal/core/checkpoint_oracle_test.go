@@ -233,14 +233,16 @@ func TestCheckpointEncodeAllocCeiling(t *testing.T) {
 
 // FuzzCheckpointOracle: for random stream states — random worlds and
 // batch splits, with or without decay, arbitrary source and fact names,
-// and arbitrary float bits planted in a credit and a probability —
+// and arbitrary float bits planted in a credit, a decayed mass and a
+// probability —
 // Checkpoint writes exactly the oracle's bytes, or fails exactly when the
 // oracle fails.
 func FuzzCheckpointOracle(f *testing.F) {
 	f.Add(uint64(1), uint8(5), uint8(40), uint8(3), false, "src", "fact", math.Float64bits(0.5), math.Float64bits(0.25))
 	f.Add(uint64(2), uint8(8), uint8(90), uint8(5), true, "<a&b>", "line\xe2\x80\xa8", math.Float64bits(1e-7), math.Float64bits(5e-324))
 	f.Add(uint64(3), uint8(3), uint8(10), uint8(1), false, "bad\xff", "\x00\x1f\"\\", math.Float64bits(math.NaN()), math.Float64bits(1))
-	f.Add(uint64(4), uint8(1), uint8(1), uint8(1), true, "", "", math.Float64bits(0), math.Float64bits(math.Inf(-1)))
+	f.Add(uint64(4), uint8(1), uint8(1), uint8(1), true, "", "", math.Float64bits(0), math.Float64bits(0.25))
+	f.Add(uint64(5), uint8(4), uint8(30), uint8(2), false, "s", "f", math.Float64bits(0.5), math.Float64bits(math.Inf(-1)))
 	f.Fuzz(func(t *testing.T, seed uint64, sources, facts, parts uint8, decay bool, source, fact string, creditBits, probBits uint64) {
 		st := NewStream()
 		if decay {
@@ -259,7 +261,12 @@ func FuzzCheckpointOracle(f *testing.F) {
 		}
 		requireOracleBytes(t, "live state", st)
 		st.mu.Lock()
-		st.state.credit[int(seed%uint64(len(st.state.credit)))] = math.Float64frombits(creditBits)
+		src := int(seed % uint64(len(st.state.credit)))
+		st.state.credit[src] = math.Float64frombits(creditBits)
+		if st.state.fcount != nil {
+			// Decayed mass may underflow to 0, which omits count_f.
+			st.state.fcount[(src+1)%len(st.state.fcount)] = math.Float64frombits(creditBits)
+		}
 		st.decided[int(seed%uint64(len(st.decided)))].Probability = math.Float64frombits(probBits)
 		st.mu.Unlock()
 		requireOracleBytes(t, "planted floats", st)

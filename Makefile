@@ -42,13 +42,12 @@ lint:
 lint-json:
 	-$(GO) run ./cmd/corrolint -json -baseline lint.baseline ./... > corrolint.json
 
-# The race target covers internal/core — the parallel ∆H ranker, the sharded
-# stream's worker pool, and the fault-injection suite (worker panics,
-# mid-batch cancellation, filesystem faults) — plus internal/fault itself,
+# The race target covers internal/core — the concurrent-use contract of the
+# stream, and the fault-injection suite (group panics, mid-batch
+# cancellation, filesystem faults) — plus internal/fault itself,
 # the engine runtime, the serving layer's admission/drain/soak battery,
 # and the root package's per-method observer and mid-run-cancellation
-# tests; the equivalence and differential tests force the concurrent paths
-# even on one CPU.
+# tests.
 race:
 	$(GO) test -race ./internal/core/... ./internal/fault/... ./internal/engine/... ./internal/serve/... ./internal/pipeline/...
 	$(GO) test -race -run 'TestObserverRoundCount|TestCancellationPerMethod|TestPreCancelledContext' .
@@ -92,10 +91,12 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzNormalizeAddress -fuzztime=$(FUZZTIME) ./internal/dedup
 	$(GO) test -run='^$$' -fuzz=FuzzSimilarity -fuzztime=$(FUZZTIME) ./internal/dedup
 	$(GO) test -run='^$$' -fuzz=FuzzIntern -fuzztime=$(FUZZTIME) ./internal/truth
+	$(GO) test -run='^$$' -fuzz='^FuzzBuild$$' -fuzztime=$(FUZZTIME) ./internal/truth
 	$(GO) test -run='^$$' -fuzz='^FuzzCheckpoint$$' -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzCheckpointOracle -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzJSONAppend -fuzztime=$(FUZZTIME) ./internal/jsonw
 	$(GO) test -run='^$$' -fuzz=FuzzRestore -fuzztime=$(FUZZTIME) ./internal/core
+	$(GO) test -run='^$$' -fuzz=FuzzAddBatchValidate -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzScenarioConfig -fuzztime=$(FUZZTIME) ./internal/synth
 	$(GO) test -run='^$$' -fuzz=FuzzQueryParams -fuzztime=$(FUZZTIME) ./internal/serve
 

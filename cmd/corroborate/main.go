@@ -46,7 +46,7 @@ func run(args []string) error {
 	compare := flags.String("compare", "", "second method: evaluate both and report the significance of the accuracy gap")
 	auditK := flags.Int("audit", 0, "plan this many in-person checks from the result (entropy-driven)")
 	stream := flags.String("stream", "", "comma-separated CSV files treated as successive batches of an online corroboration stream")
-	shards := flags.Int("shards", 1, "with -stream: corroborate each batch across this many signature shards (output is identical for any count)")
+	shards := flags.Int("shards", 1, "with -stream: shard count recorded on the stream; it does not change how batches are processed or their output")
 	checkpoint := flags.String("checkpoint", "", "with -stream: resume from this checkpoint file if it exists and rewrite it after every batch")
 	decay := flags.Float64("decay", 0, "with -stream: per-batch exponential trust-decay factor in (0,1); evidence k batches old carries weight decay^k (0 or 1 disables)")
 	list := flags.Bool("list", false, "list available methods and exit")

@@ -55,7 +55,7 @@ func run() error {
 	addrFile := flag.String("addr-file", "", "write the bound address to this file once listening (for scripts using port 0)")
 	data := flag.String("data", "corrod-data", "data directory: each tenant checkpoints to <data>/<tenant>/checkpoint.json (empty disables durability)")
 	tenants := flag.String("tenants", "default", "comma-separated tenant names to host")
-	shards := flag.Int("shards", 1, "signature shards per tenant stream (output is identical for any count)")
+	shards := flag.Int("shards", 1, "shard count recorded on each tenant stream; it does not change how batches are processed or their output")
 	queue := flag.Int("queue", 64, "per-tenant ingest queue depth (the admission bound)")
 	decay := flag.Float64("decay", 0, "per-batch exponential trust-decay factor in (0,1); 0 or 1 disables")
 	reqTimeout := flag.Duration("request-timeout", 15*time.Second, "per-request acknowledgment timeout for ingest")
@@ -133,6 +133,12 @@ func run() error {
 		}
 	}
 
+	// Install the signal handler before the listener exists: a script
+	// that SIGTERMs as soon as the address file appears must get a drain,
+	// not the default kill.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		return err
@@ -155,8 +161,6 @@ func run() error {
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- httpSrv.Serve(ln) }()
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
 	select {
 	case err := <-serveErr:
 		return err

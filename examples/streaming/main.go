@@ -48,10 +48,9 @@ func main() {
 	}
 	fmt.Printf("checkpoint after day 1: %d bytes\n\n", snapshot.Len())
 
-	// Day 2 runs on a restored engine — here a sharded one, which fans each
-	// batch's fact groups across four workers. Checkpoints are
-	// shard-agnostic and sharding never changes output, so this continues
-	// the day-1 stream exactly.
+	// Day 2 runs on a restored engine — here a sharded one. Checkpoints
+	// are shard-agnostic and the shard count never changes output, so
+	// this continues the day-1 stream exactly.
 	restored, err := corroborate.RestoreShardedStream(&snapshot, 4)
 	if err != nil {
 		log.Fatal(err)

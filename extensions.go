@@ -20,9 +20,8 @@ type (
 	// Stream is the online form of the incremental algorithm: votes
 	// arrive in batches and the multi-value trust carries across batches.
 	Stream = core.Stream
-	// ShardedStream corroborates each batch's fact groups across a
-	// signature-sharded worker pool; its output is byte-identical to
-	// Stream for any shard count.
+	// ShardedStream is a Stream that carries a shard count; the count
+	// changes neither execution nor output.
 	ShardedStream = core.ShardedStream
 	// BatchVote is one vote of a stream batch.
 	BatchVote = core.BatchVote

@@ -5,6 +5,7 @@ import (
 	"io"
 	"testing"
 
+	"corroborate/internal/synth"
 	"corroborate/internal/truth"
 )
 
@@ -94,7 +95,7 @@ func bigBenchWorld(sources, facts, patterns int) *truth.Dataset {
 // re-ranks from cached terms and stale bounds.
 func BenchmarkDeltaH(b *testing.B) {
 	d := bigBenchWorld(120, 50000, 800)
-	groups := buildGroups(d)
+	groups := sortBySignature(buildGroups(d))
 	state := newTrustState(d.NumSources(), 0.9)
 	trust := state.vector()
 	var neg []*group
@@ -228,6 +229,36 @@ func BenchmarkStream(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// BenchmarkStreamBulk feeds a fresh stream the stream-bulk shape: ten
+// batches of 20k fresh facts over 12 honest sources, about 144k votes per
+// batch. One iteration is one pass of all ten batches; -short shrinks the
+// batches to 2k facts. Run with -benchmem: bytes per vote is the figure
+// the batch pipeline's garbage shows up in.
+func BenchmarkStreamBulk(b *testing.B) {
+	facts := 20000
+	if testing.Short() {
+		facts = 2000
+	}
+	batches := scenarioBatches(b, synth.ScenarioConfig{
+		Batches: 10, FactsPerBatch: facts, HonestSources: 12, Seed: 1,
+	})
+	votes := 0
+	for _, batch := range batches {
+		votes += len(batch)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		st := NewStream()
+		for _, batch := range batches {
+			if _, err := st.AddBatch(batch); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(votes)*float64(b.N)/b.Elapsed().Seconds(), "votes/s")
 }
 
 // serveShapeBatches is the corrod serving shape: n ten-fact batches over

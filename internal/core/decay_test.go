@@ -16,7 +16,7 @@ import (
 )
 
 // scenarioBatches renders a synth adversarial scenario into stream batches.
-func scenarioBatches(t *testing.T, cfg synth.ScenarioConfig) [][]BatchVote {
+func scenarioBatches(t testing.TB, cfg synth.ScenarioConfig) [][]BatchVote {
 	t.Helper()
 	w, err := synth.GenerateScenario(cfg)
 	if err != nil {
@@ -127,9 +127,8 @@ func TestDecayChangesTrajectory(t *testing.T) {
 
 // TestDecayShardDifferential: with decay enabled, ShardedStream output is
 // byte-identical across shard counts {1, 4, 7} and to the sequential
-// stream, on the forced-parallel path (run under -race in CI).
+// stream.
 func TestDecayShardDifferential(t *testing.T) {
-	defer forceStreamParallel()()
 	for _, lambda := range []float64{0.5, 0.9} {
 		batches := scenarioBatches(t, driftScenario())
 		ref := NewStream()

@@ -6,14 +6,6 @@ import (
 	"corroborate/internal/score"
 )
 
-// rankWorkers overrides the worker count of the sharded stream's shard
-// pool; 0 (the default) uses runtime.GOMAXPROCS. Tests raise it to exercise
-// the concurrent paths on single-CPU machines. (The ∆H ranking itself is
-// sequential: the lazy-greedy queue re-scores so few candidates per round
-// that goroutine handoff would dominate, and the pair cache it maintains is
-// single-writer by design.)
-var rankWorkers = 0
-
 // syncBaseline refreshes the per-round entropy baseline: H(prob(FG)) for
 // every live group under the round's trust. Every ∆H candidate of the round
 // shares these "before" terms of Eq. 9. The refresh is incremental: only

@@ -32,44 +32,11 @@ func firstBatchSignatures(votes []BatchVote) []string {
 	return sigs
 }
 
-// TestWorkerPanicDegradesToSequential is the tentpole's headline property:
-// a shard worker panicking mid-batch must not kill the process, and the
-// degraded (sequential-retry) batch must be byte-identical to an
-// undisturbed reference stream.
-func TestWorkerPanicDegradesToSequential(t *testing.T) {
-	defer forceStreamParallel()()
-	for _, seed := range []uint64{3, 19} {
-		d := randomDataset(seed, 6, 120)
-		batches := splitByFact(d, 3)
-
-		ref := NewStream()
-		feed(t, ref, batches)
-
-		sigs := firstBatchSignatures(batches[0])
-		if len(sigs) < 2 {
-			t.Fatalf("seed %d: degenerate world (%d groups)", seed, len(sigs))
-		}
-		panics := fault.NewPanics()
-		// One transient panic: fires on a shard worker, is spent by the
-		// time the sequential retry decides the same group.
-		panics.Arm(sigs[len(sigs)/2], 1)
-
-		ss := NewShardedStream(4)
-		ss.InjectPanics(panics)
-		feed(t, ss, batches)
-		requireStreamsIdentical(t, "degraded batch", ss, ref)
-		if got := panics.Fired(sigs[len(sigs)/2]); got != 1 {
-			t.Fatalf("injected site fired %d times, want 1 (injection did not reach a worker)", got)
-		}
-	}
-}
-
-// TestPersistentPanicSurfacesTypedError: when the sequential retry panics
-// too, the ladder is exhausted — the caller gets a *GroupPanicError and
-// the stream is untouched, down to sources the failed batch tried to
-// intern.
+// TestPersistentPanicSurfacesTypedError: a panic deciding one group of a
+// sharded stream's batch reaches the caller as a *GroupPanicError after
+// firing once, and the stream is untouched, down to sources the failed
+// batch tried to intern.
 func TestPersistentPanicSurfacesTypedError(t *testing.T) {
-	defer forceStreamParallel()()
 	d := randomDataset(5, 5, 80)
 	batches := splitByFact(d, 2)
 
@@ -87,7 +54,7 @@ func TestPersistentPanicSurfacesTypedError(t *testing.T) {
 
 	sigs := firstBatchSignatures(batches[1])
 	panics := fault.NewPanics()
-	panics.Arm(sigs[0], -1) // deterministic bug: panics every time
+	panics.Arm(sigs[0], -1) // deterministic bug: would panic every time
 	ss.InjectPanics(panics)
 
 	_, err := ss.AddBatch(batches[1])
@@ -104,8 +71,8 @@ func TestPersistentPanicSurfacesTypedError(t *testing.T) {
 	if len(gp.Stack) == 0 {
 		t.Error("panic stack not captured")
 	}
-	if panics.Fired(sigs[0]) < 2 {
-		t.Errorf("site fired %d times, want ≥ 2 (worker + sequential retry)", panics.Fired(sigs[0]))
+	if got := panics.Fired(sigs[0]); got != 1 {
+		t.Errorf("site fired %d times, want 1 (no retry)", got)
 	}
 
 	// Atomicity: the failed batch left no trace.
@@ -136,9 +103,8 @@ func TestPersistentPanicSurfacesTypedError(t *testing.T) {
 	requireStreamsIdentical(t, "post-recovery continuation", ss, ref)
 }
 
-// TestSequentialStreamPanicIsTypedAndAtomic: a plain Stream has no ladder
-// below it — a panicking decision rejects the batch with the typed error,
-// atomically.
+// TestSequentialStreamPanicIsTypedAndAtomic: a panicking decision rejects
+// the batch with the typed error, atomically.
 func TestSequentialStreamPanicIsTypedAndAtomic(t *testing.T) {
 	d := randomDataset(9, 4, 30)
 	votes := batchVotesOf(d)
@@ -210,7 +176,6 @@ func TestAddBatchContextPreCancelled(t *testing.T) {
 // previous batch boundary, checkpointable, and continues byte-identically
 // once the pressure is gone.
 func TestAddBatchContextMidBatchCancellation(t *testing.T) {
-	defer forceStreamParallel()()
 	d := randomDataset(11, 6, 150)
 	batches := splitByFact(d, 3)
 
@@ -224,8 +189,8 @@ func TestAddBatchContextMidBatchCancellation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Allow exactly the entry check, then cancel: the decide fan-out and
-	// the point-of-no-return check both see a dead context.
+	// Allow exactly the entry check, then cancel: the decide loop and the
+	// point-of-no-return check both see a dead context.
 	ctx := newCountdownCtx(1)
 	if _, err := ss.AddBatchContext(ctx, batches[1]); !errors.Is(err, context.Canceled) {
 		t.Fatalf("error = %v, want context.Canceled", err)

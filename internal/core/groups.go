@@ -15,7 +15,8 @@
 package core
 
 import (
-	"sort"
+	"slices"
+	"strings"
 
 	"corroborate/internal/score"
 	"corroborate/internal/truth"
@@ -28,11 +29,12 @@ type group struct {
 	signature string
 	votes     []truth.SourceVote // the shared posting list
 	facts     []int              // remaining (unevaluated) member facts, ascending
-	// ord is the group's stable position in the signature-sorted order of
-	// buildGroups. Compaction preserves relative order, so iterating live
-	// groups always visits ascending ordinals — the invariant the
-	// incremental ∆H engine relies on to accumulate floating-point sums in
-	// exactly the order of the reference implementation.
+	// ord is the group's stable position: first appearance in
+	// buildGroups, signature order after sortBySignature. Compaction
+	// preserves relative order, so iterating live groups always visits
+	// ascending ordinals — the invariant the incremental ∆H engine relies
+	// on to accumulate floating-point sums in exactly the order of the
+	// reference implementation.
 	ord int
 }
 
@@ -46,31 +48,65 @@ func (g *group) prob(trust []float64) float64 {
 }
 
 // buildGroups partitions all facts of the dataset into vote-signature
-// groups, ordered deterministically by signature. Facts without any vote
-// form their own group (empty signature) and corroborate to 0.5.
+// groups, numbered in order of first appearance: a group's ordinal is the
+// number of distinct signatures among the facts before its first member.
+// Facts without any vote form their own group (empty signature) and
+// corroborate to 0.5. Member lists share one backing array.
 func buildGroups(d *truth.Dataset) []*group {
-	bySig := make(map[string]*group)
+	nf := d.NumFacts()
+	bySig := make(map[string]int32)
+	ordOf := make([]int32, nf)
+	var sigs []string
 	buf := make([]byte, 0, 64)
-	for f := 0; f < d.NumFacts(); f++ {
+	for f := 0; f < nf; f++ {
 		buf = d.AppendSignature(buf[:0], f)
 		// The map lookup on string(buf) does not allocate; only a newly
 		// discovered signature pays for the string conversion.
-		g, ok := bySig[string(buf)]
+		o, ok := bySig[string(buf)]
 		if !ok {
-			g = &group{signature: string(buf), votes: d.VotesOnFact(f)}
-			bySig[g.signature] = g
+			o = int32(len(sigs))
+			sigs = append(sigs, string(buf))
+			bySig[sigs[o]] = o
+		}
+		ordOf[f] = o
+	}
+	// A counting sort of the facts by ordinal lays every member list,
+	// ascending, into one backing array.
+	starts := make([]int, len(sigs)+1)
+	for _, o := range ordOf {
+		starts[o+1]++
+	}
+	for o := range sigs {
+		starts[o+1] += starts[o]
+	}
+	members := make([]int, nf)
+	groups := make([]group, len(sigs))
+	out := make([]*group, len(sigs))
+	for o, sig := range sigs {
+		g := &groups[o]
+		g.signature, g.ord = sig, o
+		g.facts = members[starts[o]:starts[o]:starts[o+1]]
+		out[o] = g
+	}
+	for f, o := range ordOf {
+		g := &groups[o]
+		if len(g.facts) == 0 {
+			g.votes = d.VotesOnFact(f)
 		}
 		g.facts = append(g.facts, f)
 	}
-	out := make([]*group, 0, len(bySig))
-	for _, g := range bySig {
-		out = append(out, g)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].signature < out[j].signature })
-	for i, g := range out {
+	return out
+}
+
+// sortBySignature orders groups by signature and renumbers their ordinals
+// to match. IncEstimate's lazy ∆H engine depends on ascending signature
+// ordinals to reproduce the reference implementation's accumulation order.
+func sortBySignature(groups []*group) []*group {
+	slices.SortFunc(groups, func(a, b *group) int { return strings.Compare(a.signature, b.signature) })
+	for i, g := range groups {
 		g.ord = i
 	}
-	return out
+	return groups
 }
 
 // take removes and returns the first n facts of the group (ascending fact

@@ -28,9 +28,23 @@ func TestBuildGroupsMotivating(t *testing.T) {
 	if sizes[d.Signature(d.FactIndex("r4"))] != 2 {
 		t.Error("r4/r10 group should have size 2")
 	}
-	// Deterministic ordering by signature.
-	for i := 1; i < len(groups); i++ {
-		if groups[i-1].signature >= groups[i].signature {
+	// Ordinals follow first appearance: each group's first member comes
+	// after the previous group's first member.
+	for i, g := range groups {
+		if g.ord != i {
+			t.Fatalf("groups[%d].ord = %d", i, g.ord)
+		}
+		if i > 0 && groups[i-1].facts[0] >= g.facts[0] {
+			t.Fatal("groups not in order of first appearance")
+		}
+	}
+	// sortBySignature reorders and renumbers.
+	sortBySignature(groups)
+	for i, g := range groups {
+		if g.ord != i {
+			t.Fatalf("sorted groups[%d].ord = %d", i, g.ord)
+		}
+		if i > 0 && groups[i-1].signature >= g.signature {
 			t.Fatal("groups not sorted by signature")
 		}
 	}

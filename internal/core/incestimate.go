@@ -241,7 +241,7 @@ func cancelledAt(ctx context.Context, round, remaining int) error {
 // one Step per time point, cancellation at round boundaries, MaxRounds
 // overridable through Options.MaxIter.
 func (e *IncEstimate) runEngine(ctx context.Context, d *truth.Dataset, init float64, opts driver.Options) (*Run, error) {
-	groups := buildGroups(d)
+	groups := sortBySignature(buildGroups(d))
 	state := newTrustState(d.NumSources(), init)
 	if e.AnchoredTrust {
 		state.enableAnchors()
@@ -439,7 +439,7 @@ func (eng *engine) stepPS() []int {
 // semantic reference: the equivalence suite asserts the engine produces
 // byte-identical Result and Trajectory output on every strategy and knob.
 func (e *IncEstimate) runReference(ctx context.Context, d *truth.Dataset, init float64) (*Run, error) {
-	groups := buildGroups(d)
+	groups := sortBySignature(buildGroups(d))
 	state := newTrustState(d.NumSources(), init)
 	if e.AnchoredTrust {
 		state.enableAnchors()

@@ -6,7 +6,7 @@ import (
 )
 
 // sourceIndex is the inverted source → fact-group index: for every source,
-// the ordinals (buildGroups positions) of the groups whose posting list
+// the ordinals (group.ord) of the groups whose posting list
 // contains it, ascending. It is built once per run and never changes —
 // groups are exhausted, not restructured. The index is what makes the ∆H
 // ranking incremental: a candidate's hypothetical evaluation only moves the

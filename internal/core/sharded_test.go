@@ -9,15 +9,6 @@ import (
 	"corroborate/internal/truth"
 )
 
-// forceStreamParallel lowers the shard fan-out threshold and pins a worker
-// count so even tiny test batches exercise the concurrent path; the returned
-// function restores the defaults.
-func forceStreamParallel() func() {
-	oldThreshold, oldWorkers := streamShardThreshold, rankWorkers
-	streamShardThreshold, rankWorkers = 1, 4
-	return func() { streamShardThreshold, rankWorkers = oldThreshold, oldWorkers }
-}
-
 // batchVotesOf flattens a dataset into stream votes, facts in index order.
 func batchVotesOf(d *truth.Dataset) []BatchVote {
 	var votes []BatchVote
@@ -115,26 +106,10 @@ func TestNewShardedStreamClampsShards(t *testing.T) {
 	}
 }
 
-func TestShardOfIsStableAndInRange(t *testing.T) {
-	sigs := []string{"", "a", "TT-F", "\x00\xff", "sig-with-longer-content"}
-	for _, shards := range []int{1, 2, 7, 16} {
-		for _, sig := range sigs {
-			s := shardOf(sig, shards)
-			if s < 0 || s >= shards {
-				t.Fatalf("shardOf(%q, %d) = %d out of range", sig, shards, s)
-			}
-			if again := shardOf(sig, shards); again != s {
-				t.Fatalf("shardOf(%q, %d) unstable: %d then %d", sig, shards, s, again)
-			}
-		}
-	}
-}
-
 // TestShardedMatchesSequentialRandom is the differential battery on small
 // worlds: every (shard count, batch partition) combination must reproduce
-// the sequential stream bit-for-bit, with the shard pool forced on.
+// the sequential stream bit-for-bit.
 func TestShardedMatchesSequentialRandom(t *testing.T) {
-	defer forceStreamParallel()()
 	for _, seed := range []uint64{2, 17, 41} {
 		d := randomDataset(seed, 6, 90)
 		for _, parts := range []int{1, 3, 7} {
@@ -151,10 +126,9 @@ func TestShardedMatchesSequentialRandom(t *testing.T) {
 	}
 }
 
-// TestShardedRepeatedRunsIdentical: the worker pool must not leak scheduling
-// into results — repeated sharded runs are bitwise equal.
+// TestShardedRepeatedRunsIdentical: repeated sharded runs are bitwise
+// equal.
 func TestShardedRepeatedRunsIdentical(t *testing.T) {
-	defer forceStreamParallel()()
 	d := randomDataset(7, 8, 160)
 	batches := splitByFact(d, 4)
 	base := NewShardedStream(5)
@@ -212,15 +186,14 @@ func TestShardedMatchesSequentialLargeWorld(t *testing.T) {
 	}
 }
 
-// TestShardedSingleGroupStaysSequential: below the fan-out threshold the
-// sharded engine takes the sequential path; results must not depend on
-// which path ran.
+// TestShardedSingleGroupStaysSequential: small batches on a sharded stream
+// match the plain stream.
 func TestShardedSingleGroupStaysSequential(t *testing.T) {
 	d := randomDataset(13, 5, 40)
 	batches := splitByFact(d, 2)
 	ref := NewStream()
 	feed(t, ref, batches)
-	ss := NewShardedStream(4) // default threshold: small batches stay sequential
+	ss := NewShardedStream(4)
 	feed(t, ss, batches)
-	requireStreamsIdentical(t, "threshold path", ss, ref)
+	requireStreamsIdentical(t, "small batches", ss, ref)
 }

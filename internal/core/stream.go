@@ -5,7 +5,8 @@ import (
 	"fmt"
 	"math"
 	"runtime/debug"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 
 	"corroborate/internal/fault"
@@ -28,8 +29,9 @@ import (
 // facts selected at ti are evaluated with the trust of ti), and all
 // outcomes are absorbed afterwards in the deterministic group order. The
 // decision function of a group is therefore a pure function of (votes,
-// batch-entry trust), which is what lets ShardedStream corroborate
-// signature shards concurrently and still merge to a byte-identical state.
+// batch-entry trust), and the absorb order is a total order over the
+// groups, so the outcome does not depend on the order groups are built or
+// decided in.
 //
 // Concurrency contract: a Stream is safe for concurrent use. AddBatch,
 // Trust, Decided, Batches, and Checkpoint serialize on an internal mutex;
@@ -78,10 +80,7 @@ type Stream struct {
 }
 
 // GroupPanicError reports a panic captured while deciding one fact group.
-// A panicking shard worker degrades the batch to the sequential path; the
-// error only reaches the caller when the sequential retry panics too — a
-// deterministic bug in the decision function rather than a transient
-// scheduling casualty. The batch is rejected atomically either way.
+// The batch it interrupted is rejected atomically.
 type GroupPanicError struct {
 	// Signature is the vote signature of the group whose decision panicked.
 	Signature string
@@ -96,8 +95,8 @@ func (e *GroupPanicError) Error() string {
 }
 
 // InjectPanics installs a fault.Panics injector whose sites are keyed by
-// fact-group vote signature; nil disarms. Tests use it to prove the
-// degradation ladder; production streams leave it unset.
+// fact-group vote signature; nil disarms. Tests use it to prove panic
+// containment; production streams leave it unset.
 func (st *Stream) InjectPanics(p *fault.Panics) {
 	st.mu.Lock()
 	st.panics = p
@@ -136,7 +135,7 @@ func NewStream() *Stream {
 // mass scale together, decay never changes the decisions of the batch it
 // ages past — only the weight of history against the next batch — which
 // keeps decisions a pure function of (votes, batch-entry trust) and
-// preserves the sharding and rollback contracts unchanged.
+// preserves the rollback contract unchanged.
 //
 // lambda must lie in [0, 1]: values in (0, 1) enable decay, while 0 and 1
 // both mean "no decay" (1 is the identity scale; 0 is the conventional
@@ -203,35 +202,6 @@ func (st *Stream) batchesLocked() int {
 	return st.decided[len(st.decided)-1].Batch + 1
 }
 
-// voteKey identifies one (fact, source) slot of a batch for duplicate
-// detection.
-type voteKey struct {
-	fact, source string
-}
-
-// validateBatch rejects batches the stream cannot corroborate coherently:
-// empty batches, votes carrying an unknown truth value (anything but T/F),
-// and duplicate votes — two statements by the same source about the same
-// fact in one batch would silently shadow each other inside the vote
-// matrix, so they are surfaced as caller errors instead.
-func validateBatch(votes []BatchVote) error {
-	if len(votes) == 0 {
-		return fmt.Errorf("core: empty batch")
-	}
-	seen := make(map[voteKey]struct{}, len(votes))
-	for _, v := range votes {
-		if !v.Vote.Valid() || v.Vote == truth.Absent {
-			return fmt.Errorf("core: batch vote on %q by %q carries unknown truth value %v", v.Fact, v.Source, v.Vote)
-		}
-		k := voteKey{fact: v.Fact, source: v.Source}
-		if _, dup := seen[k]; dup {
-			return fmt.Errorf("core: duplicate vote on %q by %q in batch", v.Fact, v.Source)
-		}
-		seen[k] = struct{}{}
-	}
-	return nil
-}
-
 // AddBatch corroborates one batch of votes under the trust accumulated
 // from all earlier batches and folds the outcomes back in. Facts are
 // grouped by vote signature, decided under the batch-entry trust, and
@@ -251,26 +221,32 @@ func (st *Stream) AddBatch(votes []BatchVote) ([]StreamFact, error) {
 func (st *Stream) AddBatchContext(ctx context.Context, votes []BatchVote) ([]StreamFact, error) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	return st.addBatchLocked(ctx, votes, 1)
+	return st.addBatchLocked(ctx, votes)
 }
 
-// addBatchLocked is the shared batch pipeline of Stream and ShardedStream:
-// validate, intern, group, decide every group under the frozen batch-entry
-// trust (fanning out across signature shards when shards > 1), then merge
-// the outcomes in the global sorted group order. The merge order — and with
-// it every floating-point accumulation — is independent of the shard count
-// and of goroutine scheduling, which is what keeps ShardedStream output
-// byte-identical to the sequential stream.
+// addBatchLocked is the batch pipeline: validate and intern, group,
+// decide every group under the frozen batch-entry trust, then absorb the
+// outcomes in a total order that does not depend on the groups' input
+// order, so every floating-point accumulation is deterministic.
 //
-// Failures after validation (cancellation, an uncontainable group panic)
-// roll back the source interning they may have caused, restoring the
-// stream bit-for-bit to its pre-batch state.
-func (st *Stream) addBatchLocked(ctx context.Context, votes []BatchVote, shards int) ([]StreamFact, error) {
+// Validation rejects empty batches, votes carrying an unknown truth value
+// (anything but T/F), and duplicate (fact, source) votes — two statements
+// by one source about one fact would silently shadow each other in the
+// vote matrix. The error names the first offending vote in input order.
+//
+// Failures after interning (a rejected vote, cancellation, a group panic)
+// roll back the source interning they caused, restoring the stream
+// bit-for-bit to its pre-batch state.
+func (st *Stream) addBatchLocked(ctx context.Context, votes []BatchVote) ([]StreamFact, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("core: batch rejected: %w", err)
 	}
-	if err := validateBatch(votes); err != nil {
-		return nil, err
+	if len(votes) == 0 {
+		return nil, fmt.Errorf("core: empty batch")
+	}
+	bad := 0
+	for bad < len(votes) && votes[bad].Vote.Valid() && votes[bad].Vote != truth.Absent {
+		bad++
 	}
 	// Snapshot for rollback: everything the pipeline mutates before the
 	// point of no return is the symbol table and the trust-state arrays.
@@ -278,18 +254,38 @@ func (st *Stream) addBatchLocked(ctx context.Context, votes []BatchVote, shards 
 
 	// Build a dataset for the batch with globally interned sources. The
 	// batch builder registers names in symbol-table ID order, so the
-	// builder's source indices coincide with the global uint32 IDs.
+	// builder's source indices coincide with the global uint32 IDs. Only
+	// the votes before the first bad one are interned: a duplicate whose
+	// second vote comes later would be reported after the bad vote.
 	b := truth.NewBuilder()
 	for i := 0; i < preSources; i++ {
 		b.Source(st.symtab.Name(uint32(i)))
 	}
-	for _, v := range votes {
+	b.Grow(bad)
+	factIDs, srcIDs := make([]uint32, bad), make([]uint32, bad)
+	var fact int
+	for i, v := range votes[:bad] {
 		known := st.symtab.Len()
 		id := st.symtab.Intern(v.Source)
 		if int(id) == known { // first sight: register with the batch builder too
 			b.Source(v.Source)
 		}
-		b.Vote(b.Fact(v.Fact), int(id), v.Vote)
+		// A fact's votes usually arrive together: skip the lookup on a
+		// repeat of the previous fact.
+		if i == 0 || v.Fact != votes[i-1].Fact {
+			fact = b.Fact(v.Fact)
+		}
+		factIDs[i], srcIDs[i] = uint32(fact), id
+		b.Vote(fact, int(id), v.Vote)
+	}
+	if dup := firstDuplicate(factIDs, srcIDs, b.NumFacts(), st.symtab.Len()); dup < bad {
+		st.rollbackBatch(preSources, preInit)
+		return nil, fmt.Errorf("core: duplicate vote on %q by %q in batch", votes[dup].Fact, votes[dup].Source)
+	}
+	if bad < len(votes) {
+		st.rollbackBatch(preSources, preInit)
+		v := votes[bad]
+		return nil, fmt.Errorf("core: batch vote on %q by %q carries unknown truth value %v", v.Fact, v.Source, v.Vote)
 	}
 	d := b.Build()
 
@@ -315,7 +311,7 @@ func (st *Stream) addBatchLocked(ctx context.Context, votes []BatchVote, shards 
 
 	groups := buildGroups(d)
 	trust := st.state.vector()
-	raw, final, err := st.decideGroups(ctx, groups, trust, shards)
+	raw, final, err := st.decideGroups(ctx, groups, trust)
 	if err == nil {
 		// Point of no return: beyond this check the outcomes are absorbed
 		// unconditionally, landing the stream on the next batch boundary.
@@ -339,50 +335,85 @@ func (st *Stream) addBatchLocked(ctx context.Context, votes []BatchVote, shards 
 	// Order: confident negatives first, then positives by size — one
 	// macro time point of the scale profile over the batch's groups. The
 	// ranking uses the groups' raw probabilities under the batch-entry
-	// trust; protection adjustments only affect the decided value.
-	sort.Slice(groups, func(i, j int) bool {
-		pi, pj := raw[groups[i].ord], raw[groups[j].ord]
-		ni, nj := pi <= truth.Threshold, pj <= truth.Threshold
-		if ni != nj {
-			return ni
-		}
-		if ni {
-			if pi != pj {
-				return pi < pj
+	// trust; protection adjustments only affect the decided value. The
+	// signature tie-break makes the order total.
+	slices.SortFunc(groups, func(x, y *group) int {
+		px, py := raw[x.ord], raw[y.ord]
+		nx, ny := px <= truth.Threshold, py <= truth.Threshold
+		switch {
+		case nx != ny:
+			if nx {
+				return -1
 			}
-			return groups[i].signature < groups[j].signature
+			return 1
+		case nx && px < py:
+			return -1
+		case nx && px > py:
+			return 1
+		case !nx && x.size() != y.size():
+			return y.size() - x.size()
 		}
-		if groups[i].size() != groups[j].size() {
-			return groups[i].size() > groups[j].size()
-		}
-		return groups[i].signature < groups[j].signature
+		return strings.Compare(x.signature, y.signature)
 	})
 
 	batch := st.batchesLocked()
-	var out []StreamFact
+	out := make([]StreamFact, 0, d.NumFacts())
 	for _, g := range groups {
 		p := final[g.ord]
 		facts := g.take(g.size())
 		st.state.absorb(g.votes, outcome(p, st.Config.SoftAbsorb), len(facts))
 		for _, f := range facts {
-			sf := StreamFact{
+			out = append(out, StreamFact{
 				Name:        d.FactName(f),
 				Batch:       batch,
 				Probability: p,
 				Prediction:  truth.LabelOf(p, truth.Threshold),
-			}
-			out = append(out, sf)
-			st.decided = append(st.decided, sf)
+			})
 		}
 	}
+	st.decided = append(st.decided, out...)
 	return out, nil
+}
+
+// firstDuplicate returns the position of the first vote that repeats the
+// (fact, source) pair of an earlier one — the vote a left-to-right scan
+// with a seen-set stops at — or len(factIDs) if every pair is distinct.
+// Positions are counting-sorted by fact, stably, so each fact's votes are
+// visited in input order and a per-source stamp finds the fact's first
+// repeat; the smallest such position over all facts is the answer.
+func firstDuplicate(factIDs, srcIDs []uint32, numFacts, numSources int) int {
+	starts := make([]uint32, numFacts+1)
+	for _, f := range factIDs {
+		starts[f+1]++
+	}
+	for f := 0; f < numFacts; f++ {
+		starts[f+1] += starts[f]
+	}
+	next := slices.Clone(starts[:numFacts])
+	byFact := make([]uint32, len(factIDs))
+	for i, f := range factIDs {
+		byFact[next[f]] = uint32(i)
+		next[f]++
+	}
+	stamp := make([]uint32, numSources) // stamp[s] == f+1: s already voted on f
+	first := len(factIDs)
+	for f := 0; f < numFacts; f++ {
+		for _, i := range byFact[starts[f]:starts[f+1]] {
+			s := srcIDs[i]
+			if stamp[s] == uint32(f+1) {
+				first = min(first, int(i))
+				break
+			}
+			stamp[s] = uint32(f + 1)
+		}
+	}
+	return first
 }
 
 // decideGroup corroborates one group under the frozen batch-entry trust.
 // It returns the raw Eq. 5 probability (the ordering key) and the decided
 // probability after the scale profile's protections. The function is pure
-// in (g, trust) — it never reads mutable stream state — so shards may call
-// it concurrently.
+// in (g, trust) — it never reads mutable stream state.
 func (st *Stream) decideGroup(g *group, trust []float64) (raw, final float64) {
 	st.panics.Fire(g.signature)
 	p := score.Corrob(g.votes, trust)
@@ -400,18 +431,29 @@ func (st *Stream) decideGroup(g *group, trust []float64) (raw, final float64) {
 	return raw, final
 }
 
-// decideGroupGuarded is decideGroup with panic containment: a panic —
+// decideGroups decides every group of a batch under the frozen batch-entry
+// trust, filling raw and final decided probabilities by group ordinal.
+// Cancellation aborts between groups and returns ctx.Err(). A panic — one
 // injected by the fault battery or thrown by a real bug — is recovered
-// into a typed *GroupPanicError instead of unwinding the worker goroutine
-// (which would kill the process: an unrecovered panic on any goroutine is
-// fatal in Go).
-func (st *Stream) decideGroupGuarded(g *group, trust []float64) (raw, final float64, perr *GroupPanicError) {
+// into a typed *GroupPanicError naming the group, and the caller rejects
+// the batch atomically.
+func (st *Stream) decideGroups(ctx context.Context, groups []*group, trust []float64) (raw, final []float64, err error) {
+	var g *group
 	defer func() {
 		if v := recover(); v != nil {
-			perr = &GroupPanicError{Signature: g.signature, Value: v, Stack: debug.Stack()}
+			raw, final, err = nil, nil, &GroupPanicError{Signature: g.signature, Value: v, Stack: debug.Stack()}
 		}
 	}()
-	raw, final = st.decideGroup(g, trust)
+	raw, final = make([]float64, len(groups)), make([]float64, len(groups))
+	for i := range groups {
+		g = groups[i]
+		if i&255 == 0 {
+			if err := ctx.Err(); err != nil {
+				return nil, nil, err
+			}
+		}
+		raw[g.ord], final[g.ord] = st.decideGroup(g, trust)
+	}
 	return raw, final, nil
 }
 

@@ -37,7 +37,8 @@ var (
 type WorldConfig struct {
 	// Name is the tenant identifier (the {tenant} path segment).
 	Name string
-	// Shards is the ShardedStream shard count; <1 means 1.
+	// Shards is the ShardedStream shard count; <1 means 1. It is recorded
+	// on the stream and does not change how batches are processed.
 	Shards int
 	// QueueDepth bounds the ingest job queue — the tenant's in-flight cap
 	// is QueueDepth queued plus one batch being applied. 0 means 64.

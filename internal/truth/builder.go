@@ -1,6 +1,7 @@
 package truth
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -21,8 +22,8 @@ import (
 // appends a tombstone rather than mutating anything. Call Grow with the
 // expected vote count to reserve the log up front; after that, Vote
 // performs zero allocations (TestVoteIngestionAllocFree pins this).
-// Build resolves the log into the Dataset's columnar form in one sort +
-// two linear passes.
+// Build resolves the log into the Dataset's columnar form with counting
+// sorts and linear passes.
 type Builder struct {
 	sources Interner
 	facts   Interner
@@ -121,13 +122,20 @@ func (b *Builder) NumFacts() int { return b.facts.Len() }
 // NumSources returns the number of sources interned so far.
 func (b *Builder) NumSources() int { return b.sources.Len() }
 
+// insertionCutoff is the longest per-fact run of log entries Build sorts
+// by insertion; longer runs go to slices.SortStableFunc. Runs are as long
+// as a fact's vote count, which rarely exceeds a few dozen.
+const insertionCutoff = 16
+
 // Build freezes the builder into a Dataset. The Builder remains usable;
 // subsequent mutations do not affect the returned Dataset.
 //
-// The vote log is resolved by sorting a permutation by (fact, source, log
-// position) and keeping each pair's last write (dropping it when that write
-// is an Absent tombstone); the surviving entries land in CSR order, so the
-// columns and both iteration views follow in linear passes.
+// The vote log is resolved by a stable counting sort of log positions by
+// fact, then a stable sort by source inside each fact's run, which orders
+// the log by (fact, source, log position). Each pair keeps its last write
+// (dropped when that write is an Absent tombstone); the surviving entries
+// land in CSR order, so the columns and both iteration views follow in
+// linear passes.
 func (b *Builder) Build() *Dataset {
 	numFacts, numSources := b.facts.Len(), b.sources.Len()
 	d := &Dataset{
@@ -140,37 +148,37 @@ func (b *Builder) Build() *Dataset {
 		sort.Ints(d.golden)
 	}
 	n := len(b.logVote)
-	perm := make([]int, n)
-	for i := range perm {
-		perm[i] = i
+	runStarts := make([]uint32, numFacts+1)
+	for _, f := range b.logFact {
+		runStarts[f+1]++
 	}
-	sort.Slice(perm, func(i, j int) bool {
-		pi, pj := perm[i], perm[j]
-		if b.logFact[pi] != b.logFact[pj] {
-			return b.logFact[pi] < b.logFact[pj]
-		}
-		if b.logSrc[pi] != b.logSrc[pj] {
-			return b.logSrc[pi] < b.logSrc[pj]
-		}
-		return pi < pj
-	})
+	for f := 0; f < numFacts; f++ {
+		runStarts[f+1] += runStarts[f]
+	}
+	next := slices.Clone(runStarts[:numFacts])
+	perm := make([]uint32, n)
+	for i, f := range b.logFact {
+		perm[next[f]] = uint32(i)
+		next[f]++
+	}
 	d.factStarts = make([]uint32, numFacts+1)
 	d.voteSources = make([]uint32, 0, n)
 	d.voteValues = make([]Vote, 0, n)
-	for i := 0; i < n; {
-		j := i
-		for j+1 < n && b.logFact[perm[j+1]] == b.logFact[perm[i]] && b.logSrc[perm[j+1]] == b.logSrc[perm[i]] {
-			j++
-		}
-		if v := b.logVote[perm[j]]; v != Absent {
-			d.voteSources = append(d.voteSources, b.logSrc[perm[j]])
-			d.voteValues = append(d.voteValues, v)
-			d.factStarts[b.logFact[perm[j]]+1]++
-		}
-		i = j + 1
-	}
 	for f := 0; f < numFacts; f++ {
-		d.factStarts[f+1] += d.factStarts[f]
+		run := perm[runStarts[f]:runStarts[f+1]]
+		b.sortBySource(run)
+		for i := 0; i < len(run); i++ {
+			last := run[i]
+			for i+1 < len(run) && b.logSrc[run[i+1]] == b.logSrc[last] {
+				i++
+				last = run[i]
+			}
+			if v := b.logVote[last]; v != Absent {
+				d.voteSources = append(d.voteSources, b.logSrc[last])
+				d.voteValues = append(d.voteValues, v)
+			}
+		}
+		d.factStarts[f+1] = uint32(len(d.voteValues))
 	}
 	d.factArena = make([]SourceVote, len(d.voteValues))
 	for i, s := range d.voteSources {
@@ -184,13 +192,28 @@ func (b *Builder) Build() *Dataset {
 		d.srcStarts[s+1] += d.srcStarts[s]
 	}
 	d.srcArena = make([]FactVote, len(d.voteValues))
-	next := append([]uint32(nil), d.srcStarts[:numSources:numSources]...)
+	srcNext := slices.Clone(d.srcStarts[:numSources])
 	for f := 0; f < numFacts; f++ {
 		for i := d.factStarts[f]; i < d.factStarts[f+1]; i++ {
 			s := d.voteSources[i]
-			d.srcArena[next[s]] = FactVote{Fact: f, Vote: d.voteValues[i]}
-			next[s]++
+			d.srcArena[srcNext[s]] = FactVote{Fact: f, Vote: d.voteValues[i]}
+			srcNext[s]++
 		}
 	}
 	return d
+}
+
+// sortBySource stably sorts one fact's run of log positions by source, so
+// re-votes on a pair stay in log order and the last write ends the pair's
+// sub-run.
+func (b *Builder) sortBySource(run []uint32) {
+	if len(run) > insertionCutoff {
+		slices.SortStableFunc(run, func(x, y uint32) int { return cmp.Compare(b.logSrc[x], b.logSrc[y]) })
+		return
+	}
+	for i := 1; i < len(run); i++ {
+		for j := i; j > 0 && b.logSrc[run[j]] < b.logSrc[run[j-1]]; j-- {
+			run[j], run[j-1] = run[j-1], run[j]
+		}
+	}
 }

@@ -10,7 +10,9 @@
 #   5. SIGTERM: the daemon must drain and exit 0,
 #   6. restart on the same data directory: the daemon must resume exactly
 #      the acknowledged state (the §10 crash-restart story, end to end),
-#   7. drain again, still exit 0.
+#   7. drain again, still exit 0,
+#   8. restart once more and SIGTERM the moment the address file appears:
+#      the daemon must still drain and exit 0.
 #
 # Everything is asserted; any deviation fails the script.
 set -eu
@@ -89,4 +91,24 @@ BATCHES=$(curl -fsS "http://$ADDR/v1/tenants/smoke/query?limit=0" | grep -o '"ba
 [ "$BATCHES" = "$ACKED" ] || fail "restarted daemon serves $BATCHES batches, want $ACKED"
 stop_corrod restart
 
-echo "daemon-smoke: OK ($ACKED batches acked, drained, resumed, drained again)"
+# --- SIGTERM as soon as the address is published ---
+# The signal handler is installed before the listener, so even the first
+# moment a script can know the address is covered by the drain path.
+echo "daemon-smoke: SIGTERM on first sight of the address file..."
+rm -f "$WORK/addr"
+"$WORK/corrod" -addr 127.0.0.1:0 -addr-file "$WORK/addr" \
+	-data "$WORK/data" -tenants smoke >"$WORK/corrod.early.log" 2>&1 &
+CORROD_PID=$!
+i=0
+while [ ! -s "$WORK/addr" ]; do
+	i=$((i + 1))
+	[ "$i" -gt 1000 ] && fail "corrod never published its address (log: $(cat "$WORK/corrod.early.log"))"
+	kill -0 "$CORROD_PID" 2>/dev/null || fail "corrod died at startup: $(cat "$WORK/corrod.early.log")"
+	sleep 0.01
+done
+kill -TERM "$CORROD_PID"
+wait "$CORROD_PID" || fail "corrod exited non-zero on an early SIGTERM (log: $(cat "$WORK/corrod.early.log"))"
+CORROD_PID=""
+grep -q "draining" "$WORK/corrod.early.log" || fail "corrod log missing the draining line after an early SIGTERM"
+
+echo "daemon-smoke: OK ($ACKED batches acked, drained, resumed, drained again, early SIGTERM drained)"

@@ -97,6 +97,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzJSONAppend -fuzztime=$(FUZZTIME) ./internal/jsonw
 	$(GO) test -run='^$$' -fuzz=FuzzRestore -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzAddBatchValidate -fuzztime=$(FUZZTIME) ./internal/core
+	$(GO) test -run='^$$' -fuzz=FuzzSignatureOrder -fuzztime=$(FUZZTIME) ./internal/core
 	$(GO) test -run='^$$' -fuzz=FuzzScenarioConfig -fuzztime=$(FUZZTIME) ./internal/synth
 	$(GO) test -run='^$$' -fuzz=FuzzQueryParams -fuzztime=$(FUZZTIME) ./internal/serve
 

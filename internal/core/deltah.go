@@ -90,7 +90,8 @@ func (eng *engine) scoreDeltaH(g, exclude *group, st *trustState, baseTrust, bas
 }
 
 // extreme returns the live candidate with the highest (hi) or lowest cached
-// probability, with the reference tie-break (size, then signature).
+// probability, with the reference tie-break (size, then ordinal, which is
+// signature order).
 func (eng *engine) extreme(candidates []*group, hi bool) *group {
 	var best *group
 	var bestProb float64
@@ -102,7 +103,7 @@ func (eng *engine) extreme(candidates []*group, hi bool) *group {
 		if best == nil || p > bestProb ||
 			//lint:ignore floatexact tie-break must match the reference bit-for-bit; the byte-identical equivalence contract forbids an epsilon here
 			(p == bestProb && (g.size() > best.size() ||
-				(g.size() == best.size() && g.signature < best.signature))) {
+				(g.size() == best.size() && g.ord < best.ord))) {
 			best, bestProb = g, p
 		}
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"testing"
 	"testing/quick"
@@ -8,14 +9,6 @@ import (
 	"corroborate/internal/synth"
 	"corroborate/internal/truth"
 )
-
-// refOf returns a copy of the configuration pinned to the retained naive
-// implementation.
-func refOf(e *IncEstimate) *IncEstimate {
-	r := *e
-	r.reference = true
-	return &r
-}
 
 // equivConfigs is the strategy/knob matrix the engine must reproduce
 // bit-for-bit.
@@ -87,7 +80,7 @@ func requireRunsIdentical(t *testing.T, label string, got, want *Run) {
 
 func requireEquivalent(t *testing.T, label string, e *IncEstimate, d *truth.Dataset) {
 	t.Helper()
-	want, err := refOf(e).RunDetailed(d)
+	want, err := referenceRun(context.Background(), e, d)
 	if err != nil {
 		t.Fatalf("%s: reference: %v", label, err)
 	}
@@ -134,7 +127,7 @@ func TestEngineMatchesReferenceRandom(t *testing.T) {
 		facts := 1 + int(nfRaw%80)
 		d := randomDataset(seed, sources, facts)
 		for i, e := range configs {
-			want, err1 := refOf(e).RunDetailed(d)
+			want, err1 := referenceRun(context.Background(), e, d)
 			got, err2 := e.RunDetailed(d)
 			if (err1 == nil) != (err2 == nil) {
 				t.Logf("seed=%d cfg%d: error mismatch %v vs %v", seed, i, err1, err2)

@@ -27,7 +27,7 @@ func firstBatchSignatures(votes []BatchVote) []string {
 	}
 	var sigs []string
 	for _, g := range buildGroups(b.Build()) {
-		sigs = append(sigs, g.signature)
+		sigs = append(sigs, g.signature())
 	}
 	return sigs
 }
@@ -217,32 +217,37 @@ func TestAddBatchContextMidBatchCancellation(t *testing.T) {
 
 func TestRunContextCancellation(t *testing.T) {
 	d := randomDataset(21, 6, 200)
-	for _, reference := range []bool{false, true} {
-		e := &IncEstimate{Strategy: SelectHeu, reference: reference}
-
+	e := &IncEstimate{Strategy: SelectHeu}
+	for _, tc := range []struct {
+		name        string
+		runDetailed func(context.Context) (*Run, error)
+	}{
+		{"engine", func(ctx context.Context) (*Run, error) { return e.RunDetailedContext(ctx, d) }},
+		{"reference", func(ctx context.Context) (*Run, error) { return referenceRun(ctx, e, d) }},
+	} {
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
-		if _, err := e.RunContext(ctx, d); !errors.Is(err, context.Canceled) {
-			t.Fatalf("reference=%v: pre-cancelled error = %v, want context.Canceled", reference, err)
+		if _, err := tc.runDetailed(ctx); !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: pre-cancelled error = %v, want context.Canceled", tc.name, err)
 		}
 
 		// Cancel at a later round boundary: the loop checks once per round.
-		if _, err := e.RunDetailedContext(newCountdownCtx(2), d); !errors.Is(err, context.Canceled) {
-			t.Fatalf("reference=%v: mid-run error = %v, want context.Canceled", reference, err)
+		if _, err := tc.runDetailed(newCountdownCtx(2)); !errors.Is(err, context.Canceled) {
+			t.Fatalf("%s: mid-run error = %v, want context.Canceled", tc.name, err)
 		}
 
 		// An unpressured context changes nothing.
-		run, err := e.RunDetailedContext(context.Background(), d)
+		run, err := tc.runDetailed(context.Background())
 		if err != nil {
-			t.Fatalf("reference=%v: %v", reference, err)
+			t.Fatalf("%s: %v", tc.name, err)
 		}
 		base, err := e.RunDetailed(d)
 		if err != nil {
-			t.Fatalf("reference=%v: %v", reference, err)
+			t.Fatalf("%s: %v", tc.name, err)
 		}
 		if len(run.Trajectory) != len(base.Trajectory) {
-			t.Fatalf("reference=%v: context run took %d rounds, plain run %d",
-				reference, len(run.Trajectory), len(base.Trajectory))
+			t.Fatalf("%s: context run took %d rounds, plain run %d",
+				tc.name, len(run.Trajectory), len(base.Trajectory))
 		}
 	}
 }

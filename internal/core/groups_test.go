@@ -17,7 +17,7 @@ func TestBuildGroupsMotivating(t *testing.T) {
 	sizes := make(map[string]int)
 	for _, g := range groups {
 		total += g.size()
-		sizes[g.signature] = g.size()
+		sizes[g.signature()] = g.size()
 	}
 	if total != d.NumFacts() {
 		t.Errorf("groups cover %d facts, want %d", total, d.NumFacts())
@@ -44,7 +44,7 @@ func TestBuildGroupsMotivating(t *testing.T) {
 		if g.ord != i {
 			t.Fatalf("sorted groups[%d].ord = %d", i, g.ord)
 		}
-		if i > 0 && groups[i-1].signature >= g.signature {
+		if i > 0 && groups[i-1].signature() >= g.signature() {
 			t.Fatal("groups not sorted by signature")
 		}
 	}
@@ -75,7 +75,7 @@ func TestGroupProb(t *testing.T) {
 	trust := []float64{0.9, 0.9, 0.9, 0.9, 0.9}
 	for _, g := range groups {
 		p := g.prob(trust)
-		sig := g.signature
+		sig := g.signature()
 		switch sig {
 		case d.Signature(d.FactIndex("r12")):
 			if diff := p - (0.1+0.1+0.9)/3; diff > 1e-12 || diff < -1e-12 {

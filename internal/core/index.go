@@ -239,8 +239,6 @@ func (eng *engine) mergeNeighbors(g *group, scratch *rankScratch, dst []int32) [
 }
 
 // ensureNeighbors builds and caches g's neighbor list if the budget allows.
-// Called sequentially (before any parallel fan-out), so the cache is
-// read-only while workers run.
 func (eng *engine) ensureNeighbors(g *group) {
 	if eng.nbrCache[g.ord] != nil || eng.nbrBudget <= 0 {
 		return

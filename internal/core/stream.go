@@ -1,12 +1,12 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
 	"runtime/debug"
 	"slices"
-	"strings"
 	"sync"
 
 	"corroborate/internal/fault"
@@ -224,10 +224,11 @@ func (st *Stream) AddBatchContext(ctx context.Context, votes []BatchVote) ([]Str
 	return st.addBatchLocked(ctx, votes)
 }
 
-// addBatchLocked is the batch pipeline: validate and intern, group,
-// decide every group under the frozen batch-entry trust, then absorb the
-// outcomes in a total order that does not depend on the groups' input
-// order, so every floating-point accumulation is deterministic.
+// addBatchLocked is the batch pipeline: validate, number the batch's facts
+// and intern its sources, lay out every fact's posting list, group facts by
+// posting list, decide every group under the frozen batch-entry trust, then
+// absorb the outcomes in a total order that does not depend on the groups'
+// input order, so every floating-point accumulation is deterministic.
 //
 // Validation rejects empty batches, votes carrying an unknown truth value
 // (anything but T/F), and duplicate (fact, source) votes — two statements
@@ -252,42 +253,45 @@ func (st *Stream) addBatchLocked(ctx context.Context, votes []BatchVote) ([]Stre
 	// point of no return is the symbol table and the trust-state arrays.
 	preSources, preInit := st.symtab.Len(), st.initDone
 
-	// Build a dataset for the batch with globally interned sources. The
-	// batch builder registers names in symbol-table ID order, so the
-	// builder's source indices coincide with the global uint32 IDs. Only
-	// the votes before the first bad one are interned: a duplicate whose
-	// second vote comes later would be reported after the bad vote.
-	b := truth.NewBuilder()
-	for i := 0; i < preSources; i++ {
-		b.Source(st.symtab.Name(uint32(i)))
+	// Number the batch's facts in order of first appearance. Only the votes
+	// before the first bad one count: a duplicate whose second vote comes
+	// later would be reported after the bad vote. A fact's votes usually
+	// arrive together, so a repeat of the previous vote's fact skips the
+	// lookup, and the number of such runs bounds the number of facts.
+	runs := 0
+	for i := range bad {
+		if i == 0 || votes[i].Fact != votes[i-1].Fact {
+			runs++
+		}
 	}
-	b.Grow(bad)
-	factIDs, srcIDs := make([]uint32, bad), make([]uint32, bad)
-	var fact int
+	factOf := make(map[string]uint32, runs)
+	names := make([]string, runs)
+	factIDs := make([]uint32, bad)
+	var fact uint32
 	for i, v := range votes[:bad] {
-		known := st.symtab.Len()
-		id := st.symtab.Intern(v.Source)
-		if int(id) == known { // first sight: register with the batch builder too
-			b.Source(v.Source)
-		}
-		// A fact's votes usually arrive together: skip the lookup on a
-		// repeat of the previous fact.
 		if i == 0 || v.Fact != votes[i-1].Fact {
-			fact = b.Fact(v.Fact)
+			id, ok := factOf[v.Fact]
+			if !ok {
+				id = uint32(len(factOf))
+				factOf[v.Fact] = id
+				names[id] = v.Fact
+			}
+			fact = id
 		}
-		factIDs[i], srcIDs[i] = uint32(fact), id
-		b.Vote(fact, int(id), v.Vote)
+		factIDs[i] = fact
 	}
-	if dup := firstDuplicate(factIDs, srcIDs, b.NumFacts(), st.symtab.Len()); dup < bad {
+	names = names[:len(factOf)]
+	starts, arena, dup := st.postingLists(votes[:bad], factIDs, len(names))
+	if dup {
 		st.rollbackBatch(preSources, preInit)
-		return nil, fmt.Errorf("core: duplicate vote on %q by %q in batch", votes[dup].Fact, votes[dup].Source)
+		v := votes[firstDuplicate(votes, factIDs)]
+		return nil, fmt.Errorf("core: duplicate vote on %q by %q in batch", v.Fact, v.Source)
 	}
 	if bad < len(votes) {
 		st.rollbackBatch(preSources, preInit)
 		v := votes[bad]
 		return nil, fmt.Errorf("core: batch vote on %q by %q carries unknown truth value %v", v.Fact, v.Source, v.Vote)
 	}
-	d := b.Build()
 
 	init := st.Config.InitialTrust
 	if init == 0 {
@@ -309,7 +313,9 @@ func (st *Stream) addBatchLocked(ctx context.Context, votes []BatchVote) ([]Stre
 		}
 	}
 
-	groups := buildGroups(d)
+	groups := groupPostings(len(names), func(f int) []truth.SourceVote {
+		return arena[starts[f]:starts[f+1]]
+	}, hashPostings)
 	trust := st.state.vector()
 	raw, final, err := st.decideGroups(ctx, groups, trust)
 	if err == nil {
@@ -332,39 +338,15 @@ func (st *Stream) addBatchLocked(ctx context.Context, votes []BatchVote) ([]Stre
 	// after the rollback window keeps batch rejection a pure truncation.
 	st.state.applyDecay()
 
-	// Order: confident negatives first, then positives by size — one
-	// macro time point of the scale profile over the batch's groups. The
-	// ranking uses the groups' raw probabilities under the batch-entry
-	// trust; protection adjustments only affect the decided value. The
-	// signature tie-break makes the order total.
-	slices.SortFunc(groups, func(x, y *group) int {
-		px, py := raw[x.ord], raw[y.ord]
-		nx, ny := px <= truth.Threshold, py <= truth.Threshold
-		switch {
-		case nx != ny:
-			if nx {
-				return -1
-			}
-			return 1
-		case nx && px < py:
-			return -1
-		case nx && px > py:
-			return 1
-		case !nx && x.size() != y.size():
-			return y.size() - x.size()
-		}
-		return strings.Compare(x.signature, y.signature)
-	})
-
 	batch := st.batchesLocked()
-	out := make([]StreamFact, 0, d.NumFacts())
-	for _, g := range groups {
+	out := make([]StreamFact, 0, len(names))
+	for _, g := range absorbOrder(groups, raw) {
 		p := final[g.ord]
 		facts := g.take(g.size())
 		st.state.absorb(g.votes, outcome(p, st.Config.SoftAbsorb), len(facts))
 		for _, f := range facts {
 			out = append(out, StreamFact{
-				Name:        d.FactName(f),
+				Name:        names[f],
 				Batch:       batch,
 				Probability: p,
 				Prediction:  truth.LabelOf(p, truth.Threshold),
@@ -375,39 +357,115 @@ func (st *Stream) addBatchLocked(ctx context.Context, votes []BatchVote) ([]Stre
 	return out, nil
 }
 
-// firstDuplicate returns the position of the first vote that repeats the
-// (fact, source) pair of an earlier one — the vote a left-to-right scan
-// with a seen-set stops at — or len(factIDs) if every pair is distinct.
-// Positions are counting-sorted by fact, stably, so each fact's votes are
-// visited in input order and a per-source stamp finds the fact's first
-// repeat; the smallest such position over all facts is the answer.
-func firstDuplicate(factIDs, srcIDs []uint32, numFacts, numSources int) int {
-	starts := make([]uint32, numFacts+1)
+// postingLists interns the votes' sources into the symbol table and lays
+// out every batch fact's posting list — its votes as (source ID, vote)
+// pairs, ascending by source — in one CSR arena: fact f's list is
+// arena[starts[f]:starts[f+1]]. A counting sort of the votes by fact places
+// each fact's votes in input order, interning sources in input order on
+// the way, and an insertion sort by source finishes each list. Two votes of
+// one fact by one source end up adjacent; dup reports whether any exist.
+func (st *Stream) postingLists(votes []BatchVote, factIDs []uint32, numFacts int) (starts []uint32, arena []truth.SourceVote, dup bool) {
+	// Count into starts[f+2] so that after the prefix sum starts[f+1] is
+	// fact f's first slot; scattering advances it to f's end, which is
+	// where fact f+1 starts.
+	starts = make([]uint32, numFacts+2)
 	for _, f := range factIDs {
+		starts[f+2]++
+	}
+	for f := 2; f < len(starts); f++ {
+		starts[f] += starts[f-1]
+	}
+	arena = make([]truth.SourceVote, len(factIDs))
+	for i, f := range factIDs {
+		arena[starts[f+1]] = truth.SourceVote{Source: int(st.symtab.Intern(votes[i].Source)), Vote: votes[i].Vote}
 		starts[f+1]++
 	}
-	for f := 0; f < numFacts; f++ {
-		starts[f+1] += starts[f]
-	}
-	next := slices.Clone(starts[:numFacts])
-	byFact := make([]uint32, len(factIDs))
-	for i, f := range factIDs {
-		byFact[next[f]] = uint32(i)
-		next[f]++
-	}
-	stamp := make([]uint32, numSources) // stamp[s] == f+1: s already voted on f
-	first := len(factIDs)
-	for f := 0; f < numFacts; f++ {
-		for _, i := range byFact[starts[f]:starts[f+1]] {
-			s := srcIDs[i]
-			if stamp[s] == uint32(f+1) {
-				first = min(first, int(i))
-				break
+	starts = starts[:numFacts+1]
+	for f := range numFacts {
+		list := arena[starts[f]:starts[f+1]]
+		if len(list) > insertionCutoff {
+			slices.SortFunc(list, func(x, y truth.SourceVote) int { return cmp.Compare(x.Source, y.Source) })
+		} else {
+			for i := 1; i < len(list); i++ {
+				for j := i; j > 0 && list[j].Source < list[j-1].Source; j-- {
+					list[j], list[j-1] = list[j-1], list[j]
+				}
 			}
-			stamp[s] = uint32(f + 1)
+		}
+		for i := 1; i < len(list); i++ {
+			dup = dup || list[i].Source == list[i-1].Source
 		}
 	}
-	return first
+	return starts, arena, dup
+}
+
+// insertionCutoff is the longest posting list postingLists sorts by
+// insertion; a fact rarely carries more votes than a few dozen.
+const insertionCutoff = 16
+
+// firstDuplicate returns the position of the first vote that repeats the
+// (fact, source) pair of an earlier one — the vote a left-to-right scan
+// with a seen-set stops at — or len(factIDs) if every pair is distinct,
+// where factIDs[i] is vote i's batch fact ID. It runs only on a batch
+// postingLists has found a duplicate in, to name the offending vote.
+func firstDuplicate(votes []BatchVote, factIDs []uint32) int {
+	type pair struct {
+		fact   uint32
+		source string
+	}
+	seen := make(map[pair]struct{}, len(factIDs))
+	for i, f := range factIDs {
+		k := pair{f, votes[i].Source}
+		if _, ok := seen[k]; ok {
+			return i
+		}
+		seen[k] = struct{}{}
+	}
+	return len(factIDs)
+}
+
+// absorbOrder returns the batch's groups in absorb order: confident
+// negatives first, by ascending raw probability, then positives by
+// descending size — one macro time point of the scale profile over the
+// batch's groups. The ranking uses the groups' raw probabilities under the
+// batch-entry trust; protection adjustments only affect the decided value.
+// Ties break by signature order, which makes the order total. groups must
+// be in ordinal order.
+//
+// The sort runs on precomputed, pointer-free keys: rank is a negative's
+// probability bits (order-preserving for non-negative floats) or, above
+// every such value, a positive's size complement, and sig is the group's
+// postingKey. Only groups equal on both compare their posting lists.
+func absorbOrder(groups []*group, raw []float64) []*group {
+	type keyed struct {
+		rank, sig uint64
+		ord       int
+	}
+	keys := make([]keyed, len(groups))
+	for i, g := range groups {
+		rank := math.MaxUint64 - uint64(g.size())
+		if p := raw[g.ord]; p <= truth.Threshold {
+			rank = 0
+			if p > 0 { // +0 and -0 tie
+				rank = math.Float64bits(p)
+			}
+		}
+		keys[i] = keyed{rank, postingKey(g.votes), g.ord}
+	}
+	slices.SortFunc(keys, func(x, y keyed) int {
+		if c := cmp.Compare(x.rank, y.rank); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(x.sig, y.sig); c != 0 {
+			return c
+		}
+		return comparePostings(groups[x.ord].votes, groups[y.ord].votes)
+	})
+	order := make([]*group, len(keys))
+	for i, k := range keys {
+		order[i] = groups[k.ord]
+	}
+	return order
 }
 
 // decideGroup corroborates one group under the frozen batch-entry trust.
@@ -415,7 +473,9 @@ func firstDuplicate(factIDs, srcIDs []uint32, numFacts, numSources int) int {
 // probability after the scale profile's protections. The function is pure
 // in (g, trust) — it never reads mutable stream state.
 func (st *Stream) decideGroup(g *group, trust []float64) (raw, final float64) {
-	st.panics.Fire(g.signature)
+	if st.panics != nil {
+		st.panics.Fire(g.signature())
+	}
 	p := score.Corrob(g.votes, trust)
 	raw, final = p, p
 	if st.Config.Strategy == SelectScale || st.Config.Strategy == SelectHeu {
@@ -441,7 +501,7 @@ func (st *Stream) decideGroups(ctx context.Context, groups []*group, trust []flo
 	var g *group
 	defer func() {
 		if v := recover(); v != nil {
-			raw, final, err = nil, nil, &GroupPanicError{Signature: g.signature, Value: v, Stack: debug.Stack()}
+			raw, final, err = nil, nil, &GroupPanicError{Signature: g.signature(), Value: v, Stack: debug.Stack()}
 		}
 	}()
 	raw, final = make([]float64, len(groups)), make([]float64, len(groups))

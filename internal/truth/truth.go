@@ -307,26 +307,30 @@ func (d *Dataset) EachGolden(yield func(f int) bool) {
 // received identical votes from identical sources and therefore form one
 // fact group in the IncEstimate algorithm (§5.1).
 func (d *Dataset) Signature(f int) string {
-	if d.factStarts[f] == d.factStarts[f+1] {
-		return ""
-	}
 	return string(d.AppendSignature(nil, f))
 }
 
 // AppendSignature appends fact f's vote signature to buf and returns the
 // extended slice. It produces exactly the bytes of Signature(f) without the
-// intermediate string, so group builders can reuse one buffer across a
-// whole dataset (signature construction dominates group building on large
-// crawls — see BenchmarkBuildGroups).
+// intermediate string, so callers can reuse one buffer across a whole
+// dataset.
 func (d *Dataset) AppendSignature(buf []byte, f int) []byte {
-	start, end := d.factStarts[f], d.factStarts[f+1]
-	for i := start; i < end; i++ {
-		if i > start {
+	return AppendSignature(buf, d.VotesOnFact(f))
+}
+
+// AppendSignature appends the signature text of a posting list to buf —
+// one "<source>:<vote>" token per entry, space-separated, e.g. "3:F 4:T" —
+// and returns the extended slice. It is the one format behind
+// Dataset.Signature and every other printed vote signature.
+func AppendSignature(buf []byte, votes []SourceVote) []byte {
+	//lint:ignore pipemat formats the list as text into the caller's byte buffer; the bytes are the output, not an intermediate vote slice
+	for i, sv := range votes {
+		if i > 0 {
 			buf = append(buf, ' ')
 		}
-		buf = strconv.AppendInt(buf, int64(d.voteSources[i]), 10)
+		buf = strconv.AppendInt(buf, int64(sv.Source), 10)
 		buf = append(buf, ':')
-		switch v := d.voteValues[i]; v {
+		switch sv.Vote {
 		case Affirm:
 			buf = append(buf, 'T')
 		case Deny:
@@ -334,7 +338,7 @@ func (d *Dataset) AppendSignature(buf []byte, f int) []byte {
 		case Absent:
 			buf = append(buf, '-')
 		default:
-			buf = append(buf, v.String()...)
+			buf = append(buf, sv.Vote.String()...)
 		}
 	}
 	return buf

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"reflect"
 	"sync/atomic"
 	"testing"
 
@@ -249,5 +250,26 @@ func TestRunContextCancellation(t *testing.T) {
 			t.Fatalf("%s: context run took %d rounds, plain run %d",
 				tc.name, len(run.Trajectory), len(base.Trajectory))
 		}
+	}
+
+	// The public RunContext entry point keeps the same contract.
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := e.RunContext(ctx, d); !errors.Is(err, context.Canceled) {
+		t.Fatalf("RunContext: pre-cancelled error = %v, want context.Canceled", err)
+	}
+	if _, err := e.RunContext(newCountdownCtx(2), d); !errors.Is(err, context.Canceled) {
+		t.Fatalf("RunContext: mid-run error = %v, want context.Canceled", err)
+	}
+	res, err := e.RunContext(context.Background(), d)
+	if err != nil {
+		t.Fatalf("RunContext: %v", err)
+	}
+	plain, err := e.Run(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(res, plain) {
+		t.Fatal("RunContext under an unpressured context differs from Run")
 	}
 }

@@ -383,7 +383,7 @@ func (st *Stream) postingLists(votes []BatchVote, factIDs []uint32, numFacts int
 	starts = starts[:numFacts+1]
 	for f := range numFacts {
 		list := arena[starts[f]:starts[f+1]]
-		if len(list) > insertionCutoff {
+		if len(list) > truth.InsertionSortCutoff {
 			slices.SortFunc(list, func(x, y truth.SourceVote) int { return cmp.Compare(x.Source, y.Source) })
 		} else {
 			for i := 1; i < len(list); i++ {
@@ -398,10 +398,6 @@ func (st *Stream) postingLists(votes []BatchVote, factIDs []uint32, numFacts int
 	}
 	return starts, arena, dup
 }
-
-// insertionCutoff is the longest posting list postingLists sorts by
-// insertion; a fact rarely carries more votes than a few dozen.
-const insertionCutoff = 16
 
 // firstDuplicate returns the position of the first vote that repeats the
 // (fact, source) pair of an earlier one — the vote a left-to-right scan

@@ -363,3 +363,77 @@ func TestAddBatchBytesPerVoteCeiling(t *testing.T) {
 		t.Fatalf("AddBatch allocates %.1f bytes per vote, ceiling %d", perVote, bytesPerVoteCeiling)
 	}
 }
+
+// TestPostingListsSortsEveryLength lays out facts of 0 to 40 votes, with
+// sources in shuffled order, so both of postingLists' per-fact sorts run
+// (insertion sort up to truth.InsertionSortCutoff votes, slices.SortFunc
+// beyond), and checks every list against a map of the votes, sorted by
+// source. A repeated (fact, source) pair sets dup.
+func TestPostingListsSortsEveryLength(t *testing.T) {
+	const numFacts = 41
+	state := uint64(7)
+	next := func(n int) int {
+		state = state*6364136223846793005 + 1442695040888963407
+		return int(state>>33) % n
+	}
+	var votes []BatchVote
+	var factIDs []uint32
+	for f := 0; f < numFacts; f++ {
+		srcs := make([]int, f)
+		for i := range srcs {
+			srcs[i] = i
+		}
+		for i := len(srcs) - 1; i > 0; i-- {
+			j := next(i + 1)
+			srcs[i], srcs[j] = srcs[j], srcs[i]
+		}
+		for _, s := range srcs {
+			vote := truth.Affirm
+			if next(3) == 0 {
+				vote = truth.Deny
+			}
+			votes = append(votes, BatchVote{Fact: fmt.Sprintf("f%d", f), Source: fmt.Sprintf("s%d", s), Vote: vote})
+			factIDs = append(factIDs, uint32(f))
+		}
+	}
+	// Interleave the facts' votes: the counting sort must regroup them.
+	for i := len(votes) - 1; i > 0; i-- {
+		j := next(i + 1)
+		votes[i], votes[j] = votes[j], votes[i]
+		factIDs[i], factIDs[j] = factIDs[j], factIDs[i]
+	}
+
+	st := NewStream()
+	starts, arena, dup := st.postingLists(votes, factIDs, numFacts)
+	if dup {
+		t.Fatal("dup reported on distinct (fact, source) pairs")
+	}
+	want := make([]map[int]truth.Vote, numFacts)
+	for i, v := range votes {
+		if want[factIDs[i]] == nil {
+			want[factIDs[i]] = make(map[int]truth.Vote)
+		}
+		id, _ := st.symtab.Lookup(v.Source)
+		want[factIDs[i]][int(id)] = v.Vote
+	}
+	for f := 0; f < numFacts; f++ {
+		list := arena[starts[f]:starts[f+1]]
+		if len(list) != len(want[f]) {
+			t.Fatalf("fact %d: %d votes, want %d", f, len(list), len(want[f]))
+		}
+		for i, sv := range list {
+			if i > 0 && sv.Source <= list[i-1].Source {
+				t.Fatalf("fact %d: sources not ascending at %d: %v", f, i, list)
+			}
+			if v, ok := want[f][sv.Source]; !ok || v != sv.Vote {
+				t.Fatalf("fact %d: vote (%d, %v) not in the batch", f, sv.Source, sv.Vote)
+			}
+		}
+	}
+
+	votes = append(votes, votes[len(votes)/2])
+	factIDs = append(factIDs, factIDs[len(factIDs)/2])
+	if _, _, dup := NewStream().postingLists(votes, factIDs, numFacts); !dup {
+		t.Fatal("repeated (fact, source) pair not reported")
+	}
+}

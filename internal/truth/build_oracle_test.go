@@ -3,7 +3,7 @@ package truth
 import "testing"
 
 // Four facts and forty sources: a fact's run of log entries can exceed
-// insertionCutoff, so both of Build's per-fact sorts are exercised.
+// InsertionSortCutoff, so both of Build's per-fact sorts are exercised.
 const oracleFacts, oracleSources = 4, 40
 
 // buildOracle resolves a vote log the way Build promises to, with a map:

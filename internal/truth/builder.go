@@ -122,10 +122,11 @@ func (b *Builder) NumFacts() int { return b.facts.Len() }
 // NumSources returns the number of sources interned so far.
 func (b *Builder) NumSources() int { return b.sources.Len() }
 
-// insertionCutoff is the longest per-fact run of log entries Build sorts
-// by insertion; longer runs go to slices.SortStableFunc. Runs are as long
-// as a fact's vote count, which rarely exceeds a few dozen.
-const insertionCutoff = 16
+// InsertionSortCutoff is the longest per-fact run of votes that Build, and
+// the stream's batch ingest in package core, sort by source with an
+// insertion sort; longer runs go to the slices sorts. Runs are as long as
+// a fact's vote count, which rarely exceeds a few dozen.
+const InsertionSortCutoff = 16
 
 // Build freezes the builder into a Dataset. The Builder remains usable;
 // subsequent mutations do not affect the returned Dataset.
@@ -207,7 +208,7 @@ func (b *Builder) Build() *Dataset {
 // re-votes on a pair stay in log order and the last write ends the pair's
 // sub-run.
 func (b *Builder) sortBySource(run []uint32) {
-	if len(run) > insertionCutoff {
+	if len(run) > InsertionSortCutoff {
 		slices.SortStableFunc(run, func(x, y uint32) int { return cmp.Compare(b.logSrc[x], b.logSrc[y]) })
 		return
 	}
